@@ -362,10 +362,9 @@ func ingestShapes(b *testing.B, n int) []threedess.Shape {
 	return out
 }
 
-// BenchmarkWeightedScanParallel compares the weighted full-scan search
-// (the non-indexed path, which cannot use the R-trees) with one worker
-// against the sharded scan across the full pool, over a synthetic
-// database large enough to cross the parallelism threshold.
+// BenchmarkWeightedScanParallel compares the weighted search with one
+// worker against the sharded search across the full pool, over a
+// synthetic database large enough to cross the parallelism threshold.
 func BenchmarkWeightedScanParallel(b *testing.B) {
 	db, err := shapedb.Open("", features.Options{})
 	if err != nil {
@@ -415,7 +414,7 @@ func BenchmarkWeightedScanParallel(b *testing.B) {
 }
 
 // BenchmarkJournalInsert measures a durable insert (journal append +
-// fsync + index update).
+// fsync + in-memory apply).
 func BenchmarkJournalInsert(b *testing.B) {
 	dir := b.TempDir()
 	db, err := shapedb.Open(dir, features.Options{})

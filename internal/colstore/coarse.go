@@ -3,7 +3,6 @@ package colstore
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -57,7 +56,7 @@ func (s *Store) SearchCoarseTopK(ctx context.Context, q, w []float64, k, workers
 				if lb2 > bound2 {
 					continue
 				}
-				h.offer(lb2, lo+i)
+				h.offer(math.Sqrt(lb2), lo+i)
 				if hb := h.pruneBound2(); hb < bound2 {
 					bound2 = hb
 				}
@@ -83,33 +82,7 @@ func (s *Store) SearchCoarseTopK(ctx context.Context, q, w []float64, k, workers
 		}
 	}
 
-	type scored struct {
-		row int
-		lb2 float64
-	}
-	var all []scored
-	for _, h := range heaps {
-		if h == nil {
-			continue
-		}
-		for i := range h.rows {
-			all = append(all, scored{row: h.rows[i], lb2: h.dist2[i]})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].lb2 != all[j].lb2 {
-			return all[i].lb2 < all[j].lb2
-		}
-		return s.ids[all[i].row] < s.ids[all[j].row]
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]Candidate, len(all))
-	for i, sc := range all {
-		out[i] = Candidate{Rec: s.recs[sc.row], Dist: math.Sqrt(sc.lb2)}
-	}
-	return out, st, nil
+	return s.mergeTopK(heaps, k), st, nil
 }
 
 // SearchCoarseRadius returns every row whose quantized lower bound is
@@ -174,12 +147,7 @@ func (s *Store) SearchCoarseRadius(ctx context.Context, q, w []float64, radius f
 	for si := range parts {
 		out = append(out, parts[si]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Rec.ID < out[j].Rec.ID
-	})
+	sortCandidates(out)
 	return out, st, nil
 }
 

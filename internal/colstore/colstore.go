@@ -8,7 +8,9 @@
 // cache-friendly loop; the byte columns drive a cheap coarse filter whose
 // per-dimension cell distance is a provable lower bound on the true
 // per-dimension distance, so a two-stage top-k search can prune most rows
-// and still return exactly the results an exhaustive scan would.
+// and still return exactly the results an exhaustive scan would. An
+// STR-packed R-tree over the rows answers top-k directly while it covers
+// every row, and seeds the coarse filter's bound after appends.
 //
 // Stores are immutable once published. A Manager watches the owning DB
 // (via Version / CommitNotify) and republishes per-kind stores when the
@@ -64,9 +66,9 @@ type Candidate struct {
 // Stats reports how much work a single search actually did, for tests and
 // benchmark introspection.
 type Stats struct {
-	Rows       int  // rows considered by the coarse pass
+	Rows       int  // rows in the store
 	ExactEvals int  // rows that needed the exact kernel
-	TreeSeeded bool // whether the R-tree supplied an initial bound
+	TreeSeeded bool // whether the R-tree supplied the k-th distance
 }
 
 // Store is an immutable columnar snapshot of every record carrying one
@@ -88,9 +90,10 @@ type Store struct {
 	qlo   []float64
 	qstep []float64
 
-	// tree is an STR-packed R-tree over rows [0, treeRows) used only to
-	// seed the top-k pruning bound. After an incremental append it covers
-	// a prefix of the store; nil when the kind has no rows.
+	// tree is an STR-packed R-tree over rows [0, treeRows). While it
+	// covers every row it answers top-k queries; after an incremental
+	// append it covers a prefix and only seeds the scan's pruning bound.
+	// nil when the kind has no rows.
 	tree     *rtree.Tree
 	treeRows int
 }
@@ -277,7 +280,7 @@ func (s *Store) quantize(d int, v float64) uint8 {
 	return uint8(c)
 }
 
-// buildTree STR-packs an R-tree over every row for bound seeding.
+// buildTree STR-packs an R-tree over every row.
 func (s *Store) buildTree() error {
 	s.treeRows = len(s.ids)
 	if len(s.ids) == 0 {
@@ -383,24 +386,28 @@ func (s *Store) checkQuery(q, w []float64) error {
 	return nil
 }
 
-// topkHeap is a bounded max-heap of (dist2, row) pairs ordered by
-// (dist2, id) so the retained set matches the exact scan's tie-break.
+// topkHeap is a bounded max-heap of (dist, row) pairs ordered by
+// (dist, id) so the retained set matches the exact scan's tie-break. The
+// key is a distance, not its square: distinct squared distances can round
+// to the same square root, and the exact scan ranks by the rounded value.
 type topkHeap struct {
-	s     *Store
-	dist2 []float64
-	rows  []int
-	k     int
+	s    *Store
+	dist []float64
+	rows []int
+	k    int
+	// bound2 caches pruneBound2 once the heap is full.
+	bound2 float64
 }
 
 func (h *topkHeap) less(i, j int) bool { // true when i sorts after j (max-heap)
-	if h.dist2[i] != h.dist2[j] {
-		return h.dist2[i] > h.dist2[j]
+	if h.dist[i] != h.dist[j] {
+		return h.dist[i] > h.dist[j]
 	}
 	return h.s.ids[h.rows[i]] > h.s.ids[h.rows[j]]
 }
 
 func (h *topkHeap) swap(i, j int) {
-	h.dist2[i], h.dist2[j] = h.dist2[j], h.dist2[i]
+	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
 	h.rows[i], h.rows[j] = h.rows[j], h.rows[i]
 }
 
@@ -434,23 +441,23 @@ func (h *topkHeap) up(i int) {
 	}
 }
 
-// offer considers (dist2, row) for membership in the retained top-k.
-func (h *topkHeap) offer(dist2 float64, row int) {
-	if len(h.rows) < h.k {
-		h.dist2 = append(h.dist2, dist2)
+// offer considers (dist, row) for membership in the retained top-k.
+func (h *topkHeap) offer(dist float64, row int) {
+	switch {
+	case len(h.rows) < h.k:
+		h.dist = append(h.dist, dist)
 		h.rows = append(h.rows, row)
 		h.up(len(h.rows) - 1)
+	case dist < h.dist[0] || dist == h.dist[0] && h.s.ids[row] < h.s.ids[h.rows[0]]:
+		// The candidate's (dist, id) pair sorts before the max: replace it.
+		h.dist[0], h.rows[0] = dist, row
+		h.down(0)
+	default:
 		return
 	}
-	// Replace the max when the candidate's (dist2, id) pair sorts first.
-	if dist2 > h.dist2[0] {
-		return
+	if len(h.rows) == h.k {
+		h.bound2 = sqCeil(h.dist[0])
 	}
-	if dist2 == h.dist2[0] && h.s.ids[row] > h.s.ids[h.rows[0]] {
-		return
-	}
-	h.dist2[0], h.rows[0] = dist2, row
-	h.down(0)
 }
 
 // pruneBound2 is the squared distance above which a lower bound proves a
@@ -459,12 +466,91 @@ func (h *topkHeap) pruneBound2() float64 {
 	if len(h.rows) < h.k {
 		return math.Inf(1)
 	}
-	return h.dist2[0]
+	return h.bound2
+}
+
+// sqCeil returns the largest float64 whose square root is at most d. A row
+// whose squared distance exceeds it is provably farther than d; one at or
+// below it may round to exactly d and still win a place by a lower id.
+func sqCeil(d float64) float64 {
+	if math.IsInf(d, 1) || math.IsNaN(d) {
+		return d // no finite bound: nothing can be pruned against it
+	}
+	x := d * d
+	for x > 0 && math.Sqrt(x) > d {
+		x = math.Nextafter(x, 0)
+	}
+	for {
+		next := math.Nextafter(x, math.Inf(1))
+		if math.Sqrt(next) > d {
+			return x
+		}
+		x = next
+	}
+}
+
+// treeTopK answers a top-k query from a tree that covers every row. The
+// k-th neighbour's distance d is exact: the tree evaluates a point entry
+// with the same arithmetic as DistSq. A ball query at d then returns every
+// row at distance <= d, ties with the k-th included. The ball is returned
+// ranked by (distance, id) with distances from the exact kernel; its first
+// k rows are the top-k. ctx is checked before each tree pass. It returns
+// nil when the tree refuses the query (negative or non-finite weights or
+// coordinates), leaving the answer to the scan.
+func (s *Store) treeTopK(ctx context.Context, q, w []float64, k int) ([]Candidate, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	nn := s.tree.NearestNeighborsWeighted(k, q, w)
+	if len(nn) < k {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ball := s.tree.WithinRadiusWeighted(q, nn[k-1].Dist, w)
+	out := make([]Candidate, len(ball))
+	for i, n := range ball {
+		row := s.rowOf(n.ID)
+		out[i] = Candidate{Rec: s.recs[row], Dist: math.Sqrt(s.DistSq(row, q, w))}
+	}
+	sortCandidates(out)
+	return out, nil
+}
+
+// mergeTopK merges per-shard heaps into the global (dist, id)-ordered
+// top-k.
+func (s *Store) mergeTopK(heaps []*topkHeap, k int) []Candidate {
+	var out []Candidate
+	for _, h := range heaps {
+		if h == nil {
+			continue
+		}
+		for i, row := range h.rows {
+			out = append(out, Candidate{Rec: s.recs[row], Dist: h.dist[i]})
+		}
+	}
+	sortCandidates(out)
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// sortCandidates orders by (distance, id), the exact scan's order.
+func sortCandidates(out []Candidate) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].Rec.ID < out[j].Rec.ID
+	})
 }
 
 // SearchTopK returns the exact k nearest rows to q under the weighted
 // metric, ordered by (distance, id) — the same set, order, and bitwise
-// distances an exhaustive scan over the snapshot would produce. The
+// distances an exhaustive scan over the snapshot would produce. When the
+// R-tree covers every row it answers alone (treeTopK). Otherwise the
 // coarse quantized pass skips the exact kernel for every row whose lower
 // bound exceeds the running k-th distance; the R-tree seeds that bound so
 // pruning bites from the first block. workers shards the scan.
@@ -480,18 +566,28 @@ func (s *Store) SearchTopK(ctx context.Context, q, w []float64, k, workers int) 
 		k = len(s.ids)
 	}
 	st.Rows = len(s.ids)
+	if s.tree != nil && s.treeRows == len(s.ids) {
+		out, err := s.treeTopK(ctx, q, w, k)
+		if err != nil {
+			return nil, st, err
+		}
+		if out != nil {
+			st.ExactEvals, st.TreeSeeded = len(out), true
+			return out[:k], st, nil
+		}
+	}
 
 	// Seed the pruning bound with the exact k-th distance among the
 	// tree's rows. The tree may cover only a prefix of the store (after
 	// appends); a subset's k-th distance is >= the full set's, so the
-	// seed can only be loose, never unsafe. The bound is recomputed from
-	// the float columns rather than taken from the tree's sqrt'd result
-	// so it is comparable with DistSq without rounding hazards.
+	// seed can only be loose, never unsafe. The distance is recomputed
+	// from the float columns rather than taken from the tree's result so
+	// it rounds exactly like every row's DistSq.
 	seed2 := math.Inf(1)
 	if s.tree != nil && s.tree.Len() >= k {
 		if nn := s.tree.NearestNeighborsWeighted(k, q, w); len(nn) == k {
 			if row := s.rowOf(nn[k-1].ID); row >= 0 {
-				seed2 = s.DistSq(row, q, w)
+				seed2 = sqCeil(math.Sqrt(s.DistSq(row, q, w)))
 				st.TreeSeeded = true
 			}
 		}
@@ -538,9 +634,8 @@ func (s *Store) SearchTopK(ctx context.Context, q, w []float64, k, workers int) 
 				if lb2 > bound2 {
 					continue
 				}
-				d2 := s.DistSq(lo+i, q, w)
 				evals[si]++
-				h.offer(d2, lo+i)
+				h.offer(math.Sqrt(s.DistSq(lo+i, q, w)), lo+i)
 				if hb := h.pruneBound2(); hb < bound2 {
 					bound2 = hb
 				}
@@ -566,35 +661,10 @@ func (s *Store) SearchTopK(ctx context.Context, q, w []float64, k, workers int) 
 		}
 	}
 
-	// Merge shard heaps and emit the global (dist, id)-ordered top-k.
-	type scored struct {
-		row   int
-		dist2 float64
-	}
-	var all []scored
-	for si, h := range heaps {
+	for si := range heaps {
 		st.ExactEvals += evals[si]
-		if h == nil {
-			continue
-		}
-		for i := range h.rows {
-			all = append(all, scored{row: h.rows[i], dist2: h.dist2[i]})
-		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].dist2 != all[j].dist2 {
-			return all[i].dist2 < all[j].dist2
-		}
-		return s.ids[all[i].row] < s.ids[all[j].row]
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]Candidate, len(all))
-	for i, sc := range all {
-		out[i] = Candidate{Rec: s.recs[sc.row], Dist: math.Sqrt(sc.dist2)}
-	}
-	return out, st, nil
+	return s.mergeTopK(heaps, k), st, nil
 }
 
 // SearchRadius returns every row within radius of q under the weighted
@@ -679,12 +749,7 @@ func (s *Store) SearchRadius(ctx context.Context, q, w []float64, radius float64
 		st.ExactEvals += evals[si]
 		out = append(out, parts[si]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Rec.ID < out[j].Rec.ID
-	})
+	sortCandidates(out)
 	return out, st, nil
 }
 

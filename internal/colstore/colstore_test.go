@@ -94,30 +94,111 @@ func TestCoarseBoundNeverExceedsTrueDistance(t *testing.T) {
 	}
 }
 
-// bruteTopK ranks every row exactly with the store's own kernel.
+// bruteTopK ranks every row exactly with the store's own kernel, by
+// (distance, id) like the engine's exhaustive scan: rows whose squared
+// distances differ but round to the same distance tie.
 func bruteTopK(st *Store, q, w []float64, k int) []Candidate {
-	type rowDist struct {
-		row int
-		d2  float64
-	}
-	all := make([]rowDist, st.Len())
+	all := make([]Candidate, st.Len())
 	for i := range all {
-		all[i] = rowDist{i, st.DistSq(i, q, w)}
+		all[i] = Candidate{Rec: st.recs[i], Dist: math.Sqrt(st.DistSq(i, q, w))}
 	}
 	for i := 1; i < len(all); i++ { // insertion sort keeps the test dependency-free
-		for j := i; j > 0 && (all[j].d2 < all[j-1].d2 ||
-			(all[j].d2 == all[j-1].d2 && st.ids[all[j].row] < st.ids[all[j-1].row])); j-- {
+		for j := i; j > 0 && (all[j].Dist < all[j-1].Dist ||
+			(all[j].Dist == all[j-1].Dist && all[j].Rec.ID < all[j-1].Rec.ID)); j-- {
 			all[j], all[j-1] = all[j-1], all[j]
 		}
 	}
 	if len(all) > k {
 		all = all[:k]
 	}
-	out := make([]Candidate, len(all))
-	for i, rd := range all {
-		out[i] = Candidate{Rec: st.recs[rd.row], Dist: math.Sqrt(rd.d2)}
+	return all
+}
+
+// TestSearchTopKRanksByRoundedDistance covers rows whose squared
+// distances differ in the last bit but round to the same distance: on a
+// 0.2-step grid, 0.6−0.4 and 0.4−0.2 differ by an ulp, so such near-ties
+// are everywhere. Top-k must rank and cut them by (distance, id), as the
+// exhaustive scan does, not by squared distance — both when the R-tree
+// covers every row and answers alone, and after appends, when the
+// quantized scan runs.
+func TestSearchTopKRanksByRoundedDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	db := openDB(t, "")
+	dim := db.Options().Dim(testKind)
+	grid := func() float64 { return float64(rng.Intn(6)) / 5 }
+	var vecs []features.Vector
+	insertGrid := func(n int) {
+		for i := 0; i < n; i++ {
+			v := make(features.Vector, dim)
+			for d := range v {
+				v[d] = grid()
+			}
+			vecs = append(vecs, v)
+			insertVec(t, db, v)
+		}
 	}
-	return out
+	uniform := make([]float64, dim)
+	for d := range uniform {
+		uniform[d] = 1
+	}
+	mgr := NewManager(db)
+	insertGrid(2000)
+	for _, appended := range []int{0, 300} {
+		insertGrid(appended)
+		st, err := mgr.Store(testKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if treeOnly := st.treeRows == st.Len(); treeOnly != (appended == 0) {
+			t.Fatalf("appended %d: tree covers %d of %d rows", appended, st.treeRows, st.Len())
+		}
+		for trial := 0; trial < 40; trial++ {
+			q := vecs[rng.Intn(len(vecs))]
+			k := 1 + rng.Intn(400)
+			for _, workers := range []int{1, 4} {
+				got, _, err := st.SearchTopK(context.Background(), q, uniform, k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteTopK(st, q, uniform, k)
+				if len(got) != len(want) {
+					t.Fatalf("appended %d trial %d: %d results, want %d", appended, trial, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Rec.ID != want[i].Rec.ID || got[i].Dist != want[i].Dist {
+						t.Fatalf("appended %d trial %d workers=%d k=%d: result %d = (%d, %v), want (%d, %v)",
+							appended, trial, workers, k, i, got[i].Rec.ID, got[i].Dist, want[i].Rec.ID, want[i].Dist)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchTopKSurvivesRefusedTreeQuery passes weights the R-tree
+// refuses; the store must fall back to its scan instead of indexing an
+// empty neighbour list, and a NaN heap key (the square root of a negative
+// weighted sum) must not stall the pruning bound.
+func TestSearchTopKSurvivesRefusedTreeQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	db := openDB(t, "")
+	dim := db.Options().Dim(testKind)
+	for i := 0; i < 50; i++ {
+		insertVec(t, db, randVec(rng, dim, 5))
+	}
+	st, err := NewManager(db).Store(testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, dim)
+	w[0] = -1
+	q := randVec(rng, dim, 5)
+	if got, _, err := st.SearchTopK(context.Background(), q, w, 3, 1); err != nil || len(got) != 3 {
+		t.Fatalf("SearchTopK with a negative weight: %d rows, err %v", len(got), err)
+	}
+	if got, _, err := st.SearchCoarseTopK(context.Background(), q, w, 3, 1); err != nil || len(got) != 3 {
+		t.Fatalf("SearchCoarseTopK with a negative weight: %d rows, err %v", len(got), err)
+	}
 }
 
 func TestSearchTopKMatchesBruteForce(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package core is the 3DESS search engine — the paper's primary
 // contribution. It ties the feature-extraction pipeline, the shape
-// database, and the R-tree indexes into the query flows of §2.4:
+// database, and the columnar descriptor store into the query flows of §2.4:
 // query-by-example with a chosen feature vector, threshold (similarity)
 // search under the weighted Euclidean measure of Equations 4.3–4.4, top-k
 // search, the multi-step refinement strategy of §4.2, relevance feedback
@@ -18,7 +18,6 @@ import (
 	"threedess/internal/colstore"
 	"threedess/internal/features"
 	"threedess/internal/geom"
-	"threedess/internal/rtree"
 	"threedess/internal/shapedb"
 	"threedess/internal/workpool"
 )
@@ -32,9 +31,9 @@ type Engine struct {
 	// throughput.
 	workers int
 	// cstore holds per-kind columnar descriptor copies for the two-stage
-	// weighted search path; mode is the engine-wide default ScanMode.
-	// Neither changes results — two-stage search is exact — only how a
-	// weighted query executes.
+	// search path; mode is the engine-wide default ScanMode. Neither
+	// changes results — two-stage search is exact — only how a query
+	// executes.
 	cstore *colstore.Manager
 	mode   ScanMode
 }
@@ -79,15 +78,14 @@ type Options struct {
 	// Feature selects which descriptor drives the search.
 	Feature features.Kind
 	// Weights are per-dimension weights of Equation 4.3. Nil means
-	// uniform. Non-uniform weights bypass the R-tree (whose metric is
-	// unweighted) and scan, exactly like the prototype's reconfigured
-	// queries.
+	// uniform: an unweighted search runs as an all-ones weighted one, so
+	// every search takes the same path and ranks ties the same way.
 	Weights []float64
 	// Threshold is the minimum similarity for SearchThreshold (0..1).
 	Threshold float64
 	// K is the result count for SearchTopK.
 	K int
-	// Mode selects how a weighted search executes: ScanAuto (default)
+	// Mode selects how a search executes: ScanAuto (default)
 	// defers to the engine's configured mode, ScanExact forces the
 	// exhaustive scan, ScanTwoStage forces the columnar filter-and-refine
 	// path. Every mode returns identical results.
@@ -143,15 +141,21 @@ func (e *Engine) checkOptions(opt *Options, query features.Set) (features.Vector
 			return nil, fmt.Errorf("core: query %v vector has non-finite coordinate %g at dimension %d", opt.Feature, x, i)
 		}
 	}
-	if opt.Weights != nil && len(opt.Weights) != len(qv) {
+	if opt.Weights == nil {
+		// Unweighted means uniform weights. Distances are unchanged to the
+		// bit (1·d·d == d·d), and the search runs the weighted pipeline.
+		opt.Weights = make([]float64, len(qv))
+		for i := range opt.Weights {
+			opt.Weights[i] = 1
+		}
+	}
+	if len(opt.Weights) != len(qv) {
 		return nil, fmt.Errorf("core: %d weights for %d-dimensional feature %v",
 			len(opt.Weights), len(qv), opt.Feature)
 	}
-	if opt.Weights != nil {
-		for i, w := range opt.Weights {
-			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("core: invalid weight %g at dimension %d", w, i)
-			}
+	for i, w := range opt.Weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("core: invalid weight %g at dimension %d", w, i)
 		}
 	}
 	if opt.DMax < 0 || math.IsNaN(opt.DMax) || math.IsInf(opt.DMax, 0) {
@@ -205,16 +209,6 @@ func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Op
 		return nil, fmt.Errorf("core: threshold %g outside [0, 1]", opt.Threshold)
 	}
 	dmax := e.dmax(opt)
-	if opt.Weights == nil {
-		// Equation 4.4: similarity ≥ t ⇔ distance ≤ (1−t)·dmax. Serve
-		// through the index.
-		radius := (1 - opt.Threshold) * dmax
-		nn, err := e.db.WithinRadius(opt.Feature, qv, radius)
-		if err != nil {
-			return nil, err
-		}
-		return e.toResults(nn, dmax), nil
-	}
 	switch mode, forced := e.resolveScanMode(opt); mode {
 	case ScanCoarse:
 		// Coarse is approximate by design; a forced request surfaces
@@ -236,8 +230,7 @@ func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Op
 }
 
 // SearchTopK returns the opt.K most similar shapes, most similar first.
-// ctx cancellation aborts the weighted scan path between records; the
-// indexed path checks it once up front.
+// ctx cancellation aborts the scan between records.
 func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -250,13 +243,6 @@ func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options
 		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
 	}
 	dmax := e.dmax(opt)
-	if opt.Weights == nil {
-		nn, err := e.db.KNN(opt.Feature, qv, opt.K)
-		if err != nil {
-			return nil, err
-		}
-		return e.toResults(nn, dmax), nil
-	}
 	switch mode, forced := e.resolveScanMode(opt); mode {
 	case ScanCoarse:
 		out, err := e.coarseTopK(ctx, qv, opt, dmax)
@@ -278,8 +264,7 @@ func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options
 // on the order of a thousand ranked records, so small corpora scan inline.
 const minParallelScan = 1024
 
-// scan is the weighted-distance fallback: a full scan ranked by Equation
-// 4.3. keep filters results (nil keeps everything); k > 0 truncates.
+// scan is the exact search: a full scan ranked by Equation 4.3. keep filters results (nil keeps everything); k > 0 truncates.
 //
 // The scan iterates a lock-free snapshot (shapedb.Snapshot) partitioned
 // into contiguous shards across the engine's worker pool; each worker
@@ -371,31 +356,6 @@ func sortResults(out []Result) {
 		}
 		return out[i].ID < out[j].ID
 	})
-}
-
-// toResults resolves neighbor IDs to result rows with one GetMany lock
-// round-trip instead of a Get per neighbor.
-func (e *Engine) toResults(nn []rtree.Neighbor, dmax float64) []Result {
-	ids := make([]int64, len(nn))
-	for i, n := range nn {
-		ids[i] = n.ID
-	}
-	recs := e.db.GetMany(ids)
-	out := make([]Result, 0, len(nn))
-	for i, n := range nn {
-		rec := recs[i]
-		if rec == nil {
-			continue
-		}
-		out = append(out, Result{
-			ID:         n.ID,
-			Name:       rec.Name,
-			Group:      rec.Group,
-			Distance:   n.Dist,
-			Similarity: Similarity(n.Dist, dmax),
-		})
-	}
-	return out
 }
 
 // ExcludeID filters a result list in place, dropping the given id (used to

@@ -9,7 +9,7 @@ import (
 	"threedess/internal/features"
 )
 
-// ScanMode selects how weighted searches execute.
+// ScanMode selects how searches execute.
 type ScanMode int
 
 const (
@@ -18,11 +18,12 @@ const (
 	// otherwise. In Options it additionally means "defer to the engine
 	// default".
 	ScanAuto ScanMode = iota
-	// ScanExact forces the exhaustive weighted scan — the escape hatch if
+	// ScanExact forces the exhaustive scan — the escape hatch if
 	// the two-stage path is ever in doubt.
 	ScanExact
-	// ScanTwoStage forces the two-stage path: quantized columnar filter
-	// plus R-tree bound seeding, then exact re-ranking of survivors.
+	// ScanTwoStage forces the two-stage path over the columnar store: an
+	// R-tree filter (or a quantized scan seeded by it), then exact
+	// re-ranking of survivors.
 	ScanTwoStage
 	// ScanCoarse serves the two-stage filter stage AS the answer — rows
 	// ranked by their quantized lower bounds with the exact re-rank
@@ -68,8 +69,8 @@ func ParseScanMode(s string) (ScanMode, error) {
 // could pay for its lookup-table setup.
 const autoTwoStageMin = 4096
 
-// SetSearchMode sets the engine-wide default scan mode for weighted
-// searches (requests may still override it per query via Options.Mode)
+// SetSearchMode sets the engine-wide default scan mode for searches
+// (requests may still override it per query via Options.Mode)
 // and returns the engine.
 func (e *Engine) SetSearchMode(m ScanMode) *Engine {
 	e.mode = m
@@ -104,10 +105,10 @@ func (e *Engine) resolveScanMode(opt Options) (mode ScanMode, forced bool) {
 	return m, forced
 }
 
-// twoStageTopK serves a weighted top-k query from the columnar store:
-// R-tree k-NN seeds a pruning bound, the quantized columns filter rows
-// whose lower bound already exceeds the running k-th distance, and only
-// survivors reach the exact Equation-4.3 kernel. The result is
+// twoStageTopK serves a top-k query from the columnar store: the R-tree
+// yields every row within the k-th neighbour's distance (or, after
+// appends, seeds a pruning bound for the quantized columns), and only
+// those candidates reach the exact Equation-4.3 kernel. The result is
 // bit-identical to the exhaustive scan — same rows, same order, same
 // distances.
 func (e *Engine) twoStageTopK(ctx context.Context, qv features.Vector, opt Options, dmax float64) ([]Result, error) {

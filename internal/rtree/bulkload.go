@@ -22,10 +22,11 @@ type bulkEntry struct {
 
 // BulkLoad builds a packed R-tree over the items using Sort-Tile-Recursive
 // (STR) packing, which produces near-optimal leaf utilization and low MBR
-// overlap — the preferred way to index a static corpus before serving
-// queries.
+// overlap. It is the only way to build a tree: a changed point set is
+// indexed by loading a new one. dim must be positive; maxEntries < 4 is
+// raised to 4.
 func BulkLoad(dim, maxEntries int, items []BulkItem) (*Tree, error) {
-	t, err := New(dim, maxEntries)
+	t, err := newTree(dim, maxEntries)
 	if err != nil {
 		return nil, err
 	}

@@ -79,37 +79,6 @@ func TestBulkLoadValidation(t *testing.T) {
 	}
 }
 
-func TestBulkLoadBetterPackedThanIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	pts := randomPoints(3000, 3, rng)
-	items := make([]BulkItem, len(pts))
-	for i, p := range pts {
-		items[i] = BulkItem{ID: int64(i), Point: p}
-	}
-	packed, err := BulkLoad(3, 16, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incremental := buildTree(t, pts, 3, 16)
-
-	q := Point{50, 50, 50}
-	packed.ResetStats()
-	packed.NearestNeighbors(10, q)
-	pAcc := packed.NodeAccesses()
-	incremental.ResetStats()
-	incremental.NearestNeighbors(10, q)
-	iAcc := incremental.NodeAccesses()
-	// STR packing should not be dramatically worse; typically it is
-	// better. Allow slack — this is a structural sanity check, not a
-	// micro-benchmark.
-	if pAcc > 3*iAcc+10 {
-		t.Errorf("packed tree accesses %d vs incremental %d", pAcc, iAcc)
-	}
-	if packed.Height() > incremental.Height() {
-		t.Errorf("packed height %d > incremental %d", packed.Height(), incremental.Height())
-	}
-}
-
 // Property-based: for random point sets, 1-NN through the index equals the
 // brute-force minimum.
 func TestQuickNearestNeighborProperty(t *testing.T) {

@@ -30,14 +30,13 @@ func (r *referenceStore) knn(q Point, k int) []Neighbor {
 }
 
 // TestFuzzInsertDeleteQuery interleaves random inserts, deletes, and
-// queries, checking the tree against the oracle at every step.
+// queries against the oracle's point set. A static tree is never patched:
+// every query step bulk-loads a fresh tree from the current set (as the
+// shape database does when its records change) and checks it against the
+// oracle and the structural invariants.
 func TestFuzzInsertDeleteQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(220))
 	const dim = 3
-	tr, err := New(dim, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := &referenceStore{points: map[int64]Point{}}
 	nextID := int64(1)
 	randPoint := func() Point {
@@ -50,23 +49,28 @@ func TestFuzzInsertDeleteQuery(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5 || len(ref.points) == 0: // insert
-			p := randPoint()
-			if err := tr.InsertPoint(nextID, p); err != nil {
-				t.Fatal(err)
-			}
-			ref.points[nextID] = p
+			ref.points[nextID] = randPoint()
 			nextID++
 		case op < 8: // delete a random existing id
-			var victim int64
 			for id := range ref.points {
-				victim = id
+				delete(ref.points, id)
 				break
 			}
-			if !tr.DeletePoint(victim, ref.points[victim]) {
-				t.Fatalf("step %d: delete of %d failed", step, victim)
+		default: // rebuild and k-NN check
+			items := make([]BulkItem, 0, len(ref.points))
+			for id, p := range ref.points {
+				items = append(items, BulkItem{ID: id, Point: p})
 			}
-			delete(ref.points, victim)
-		default: // k-NN check
+			tr, err := BulkLoad(dim, 6, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if tr.Len() != len(ref.points) {
+				t.Fatalf("step %d: Len %d vs oracle %d", step, tr.Len(), len(ref.points))
+			}
 			q := randPoint()
 			k := 1 + rng.Intn(8)
 			got := tr.NearestNeighbors(k, q)
@@ -80,62 +84,5 @@ func TestFuzzInsertDeleteQuery(t *testing.T) {
 				}
 			}
 		}
-		if tr.Len() != len(ref.points) {
-			t.Fatalf("step %d: Len %d vs oracle %d", step, tr.Len(), len(ref.points))
-		}
 	}
-	// Structural sanity at the end.
-	if err := tr.validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// validate checks R-tree invariants: every child MBR is contained in (and
-// tight within) its parent entry's rectangle, and all leaves sit at the
-// same depth.
-func (t *Tree) validate() error {
-	leafDepth := -1
-	var walk func(n *node, depth int, bound *Rect) error
-	walk = func(n *node, depth int, bound *Rect) error {
-		if n.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return errDepth(depth, leafDepth)
-			}
-		}
-		for i := 0; i < n.count(); i++ {
-			rect := boxRect(t.nbox(n, i))
-			if bound != nil && !bound.Contains(rect) {
-				return errBounds(rect, *bound)
-			}
-			if !n.leaf {
-				child := n.children[i]
-				if err := walk(child, depth+1, &rect); err != nil {
-					return err
-				}
-				if tight := t.nodeRect(child); !boxEqual(rectBox(tight), rectBox(rect)) {
-					return errTight(rect, tight)
-				}
-			}
-		}
-		return nil
-	}
-	return walk(t.root, 0, nil)
-}
-
-type treeInvariantError string
-
-func (e treeInvariantError) Error() string { return string(e) }
-
-func errDepth(got, want int) error {
-	return treeInvariantError("rtree: leaves at different depths")
-}
-
-func errBounds(child, parent Rect) error {
-	return treeInvariantError("rtree: child rect escapes parent entry")
-}
-
-func errTight(stored, tight Rect) error {
-	return treeInvariantError("rtree: parent entry rect not tight")
 }

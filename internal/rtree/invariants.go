@@ -2,51 +2,22 @@ package rtree
 
 import "fmt"
 
-// ForEachEntry calls fn for every stored (leaf) entry. fn returning false
-// stops the walk early. Unlike Search it visits everything and does not
-// touch the node-access counter — it is an administrative walk, used by
-// the shapedb index↔store reconciler to diff index contents against the
-// record set, not a query.
-func (t *Tree) ForEachEntry(fn func(id int64, r Rect) bool) {
-	t.forEachEntry(t.root, fn)
-}
-
-func (t *Tree) forEachEntry(n *node, fn func(id int64, r Rect) bool) bool {
-	if n.leaf {
-		for i := range n.ids {
-			if !fn(n.ids[i], boxRect(t.nbox(n, i))) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !t.forEachEntry(c, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckInvariants walks the whole tree and verifies the structural
 // invariants every query's correctness rests on:
 //
 //   - every leaf sits at the same depth (the tree is height-balanced);
 //   - every internal entry's box is exactly the tight bounding box of its
-//     child's entries (MinDist pruning and Contains-guided deletes both
-//     assume tightness — a too-small box loses entries, a too-large one
-//     only wastes work, and neither should exist);
-//   - node entry counts respect Guttman's bounds: at most maxEntries
-//     everywhere; at least minEntries in non-root nodes; an internal root
-//     has at least 2 entries;
+//     child's entries (MinDist pruning assumes tightness — a too-small box
+//     loses entries, a too-large one only wastes work, and neither should
+//     exist);
+//   - node entry counts are bounded: at most maxEntries everywhere, no
+//     empty non-root node, and an internal root has at least 2 entries;
 //   - the flat arrays are consistent: a node's boxes array holds exactly
 //     2·dim floats per entry, leaves carry ids and no children, internal
 //     nodes carry children and no ids; Len() equals the number of leaf
 //     entries.
 //
-// It returns the first violation found (nil when the tree is sound). The
-// reconciler runs it before trusting an index's contents, and escalates
-// to a full rebuild when it fails.
+// It returns the first violation found (nil when the tree is sound).
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
@@ -60,11 +31,7 @@ func (t *Tree) CheckInvariants() error {
 		if cnt > t.maxEntries {
 			return fmt.Errorf("rtree: node at depth %d has %d entries, max %d", depth, cnt, t.maxEntries)
 		}
-		isRoot := n == t.root
-		if !isRoot && cnt < t.minEntries {
-			return fmt.Errorf("rtree: non-root node at depth %d has %d entries, min %d", depth, cnt, t.minEntries)
-		}
-		if isRoot && !n.leaf && cnt < 2 {
+		if n == t.root && !n.leaf && cnt < 2 {
 			return fmt.Errorf("rtree: internal root has %d entries, want >= 2", cnt)
 		}
 		if len(n.boxes) != cnt*stride {

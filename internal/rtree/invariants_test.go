@@ -1,28 +1,36 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // checkSound fails the test if the tree violates any structural invariant
-// or if ForEachEntry disagrees with Len about the stored entry set.
+// or if its leaves do not hold exactly wantIDs (nil skips the content
+// check).
 func checkSound(t *testing.T, tr *Tree, wantIDs map[int64]Point) {
 	t.Helper()
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated: %v", err)
 	}
 	got := make(map[int64]Point, tr.Len())
-	tr.ForEachEntry(func(id int64, r Rect) bool {
-		if _, dup := got[id]; dup {
-			t.Fatalf("ForEachEntry visited id %d twice", id)
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.leaf {
+			for _, c := range n.children {
+				walk(c)
+			}
+			return
 		}
-		got[id] = append(Point(nil), r.Min...)
-		return true
-	})
-	if len(got) != tr.Len() {
-		t.Fatalf("ForEachEntry saw %d entries, Len() = %d", len(got), tr.Len())
+		for i, id := range n.ids {
+			if _, dup := got[id]; dup {
+				t.Fatalf("id %d stored twice", id)
+			}
+			got[id] = append(Point(nil), tr.nbox(n, i)[:tr.dim]...)
+		}
 	}
+	walk(tr.root)
 	if wantIDs == nil {
 		return
 	}
@@ -42,86 +50,60 @@ func checkSound(t *testing.T, tr *Tree, wantIDs map[int64]Point) {
 	}
 }
 
-func TestCheckInvariantsEmptyAndSmall(t *testing.T) {
-	tr, err := New(3, 8)
+// loadSound bulk-loads want and checks the result with checkSound.
+func loadSound(t *testing.T, dim, capacity int, want map[int64]Point) *Tree {
+	t.Helper()
+	items := make([]BulkItem, 0, len(want))
+	for id, p := range want {
+		items = append(items, BulkItem{ID: id, Point: p})
+	}
+	tr, err := BulkLoad(dim, capacity, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSound(t, tr, map[int64]Point{})
+	checkSound(t, tr, want)
+	return tr
+}
+
+func TestCheckInvariantsEmptyAndSmall(t *testing.T) {
 	want := map[int64]Point{}
+	loadSound(t, 3, 8, want)
 	for i := int64(0); i < 3; i++ {
-		p := Point{float64(i), float64(i * 2), float64(i * 3)}
-		if err := tr.InsertPoint(i, p); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = p
-		checkSound(t, tr, want)
+		want[i] = Point{float64(i), float64(i * 2), float64(i * 3)}
+		loadSound(t, 3, 8, want)
 	}
 }
 
-// TestCheckInvariantsRandomWorkload drives a random mix of inserts and
-// deletes (with enough pressure to force splits, condense-tree orphan
-// reinsertion, and root collapses) and checks every structural invariant
-// after each batch.
+// TestCheckInvariantsRandomWorkload bulk-loads a random workload of point
+// sets — sizes around every packing boundary, several fan-outs and
+// dimensions, clustered and duplicate points — and checks every
+// structural invariant of each packed tree.
 func TestCheckInvariantsRandomWorkload(t *testing.T) {
 	for _, capacity := range []int{4, 8, 16} {
 		rng := rand.New(rand.NewSource(int64(42 + capacity)))
-		tr, err := New(2, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := map[int64]Point{}
-		var ids []int64
-		nextID := int64(0)
 		for round := 0; round < 60; round++ {
-			// Insert a batch.
-			for i := 0; i < 25; i++ {
-				p := Point{rng.Float64() * 100, rng.Float64() * 100}
-				if err := tr.InsertPoint(nextID, p); err != nil {
-					t.Fatal(err)
+			dim := 1 + rng.Intn(4)
+			n := rng.Intn(capacity * capacity * 3)
+			if round%10 == 0 {
+				n = capacity * (1 + round/10) // exactly full nodes
+			}
+			live := make(map[int64]Point, n)
+			for id := int64(0); id < int64(n); id++ {
+				p := make(Point, dim)
+				for d := range p {
+					switch round % 3 {
+					case 0:
+						p[d] = rng.Float64() * 100
+					case 1:
+						p[d] = float64(rng.Intn(3)) // heavy duplication
+					default:
+						p[d] = math.Floor(rng.NormFloat64() * 4)
+					}
 				}
-				live[nextID] = p
-				ids = append(ids, nextID)
-				nextID++
+				live[id] = p
 			}
-			// Delete a random ~40% of what is live.
-			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			cut := len(ids) * 2 / 5
-			for _, id := range ids[:cut] {
-				if !tr.DeletePoint(id, live[id]) {
-					t.Fatalf("capacity %d: delete of live id %d failed", capacity, id)
-				}
-				delete(live, id)
-			}
-			ids = ids[cut:]
-			checkSound(t, tr, live)
+			loadSound(t, dim, capacity, live)
 		}
-		// Drain to empty: condense-tree must keep the invariants through
-		// every intermediate shrink and the final root collapse.
-		for _, id := range ids {
-			if !tr.DeletePoint(id, live[id]) {
-				t.Fatalf("capacity %d: drain delete of id %d failed", capacity, id)
-			}
-			delete(live, id)
-			if len(live)%37 == 0 {
-				checkSound(t, tr, live)
-			}
-		}
-		checkSound(t, tr, map[int64]Point{})
-	}
-}
-
-// TestForEachEntryEarlyStop checks the walk honors fn returning false.
-func TestForEachEntryEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := buildTree(t, randomPoints(200, 3, rng), 3, 8)
-	seen := 0
-	tr.ForEachEntry(func(id int64, r Rect) bool {
-		seen++
-		return seen < 10
-	})
-	if seen != 10 {
-		t.Fatalf("walk visited %d entries after stop at 10", seen)
 	}
 }
 
@@ -164,7 +146,8 @@ func TestCheckInvariantsDetectsDamage(t *testing.T) {
 		for !n.leaf {
 			n = n.children[0]
 		}
-		tr.removeEntry(n, len(n.ids)-1)
+		n.ids = n.ids[:len(n.ids)-1]
+		n.boxes = n.boxes[:len(n.boxes)-2*tr.dim]
 		if err := tr.CheckInvariants(); err == nil {
 			t.Fatal("dropped leaf entry not detected")
 		}

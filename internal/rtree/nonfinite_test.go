@@ -6,23 +6,17 @@ import (
 )
 
 // A non-finite coordinate admitted into the tree would poison every MBR on
-// its insertion path (NaN comparisons are always false, so enlargement and
-// MinDist computations silently misorder), corrupting results for keys that
-// were perfectly valid. These tests pin the reject-at-the-door behaviour.
+// its path to the root (NaN comparisons are always false, so packing order
+// and MinDist computations silently misorder), corrupting results for keys
+// that were perfectly valid. These tests pin the reject-at-the-door
+// behaviour.
 
 func TestInsertRejectsNonFinite(t *testing.T) {
-	tr, err := New(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var good []BulkItem
 	for i := int64(0); i < 8; i++ {
 		f := float64(i)
-		if err := tr.InsertPoint(i, Point{f, f * 2, f * 3}); err != nil {
-			t.Fatal(err)
-		}
+		good = append(good, BulkItem{ID: i, Point: Point{f, f * 2, f * 3}})
 	}
-	before := tr.Len()
-
 	bads := []Point{
 		{math.NaN(), 0, 0},
 		{0, math.NaN(), 0},
@@ -32,30 +26,29 @@ func TestInsertRejectsNonFinite(t *testing.T) {
 		{1, 2}, // wrong dimension
 	}
 	for _, p := range bads {
-		if err := tr.InsertPoint(100, p); err == nil {
-			t.Errorf("InsertPoint(%v) accepted a bad point", p)
+		// The bad point is refused wherever it sits among good ones.
+		for pos := 0; pos <= len(good); pos++ {
+			items := append(append(append([]BulkItem(nil), good[:pos]...), BulkItem{ID: 100, Point: p}), good[pos:]...)
+			if tr, err := BulkLoad(3, 4, items); err == nil {
+				t.Errorf("BulkLoad accepted bad point %v at position %d (Len %d)", p, pos, tr.Len())
+			}
 		}
-		if err := tr.InsertRect(100, Rect{Min: Point{0, 0, 0}, Max: p}); err == nil {
-			t.Errorf("InsertRect with max %v accepted a bad rect", p)
-		}
-	}
-	if tr.Len() != before {
-		t.Fatalf("Len changed from %d to %d after rejected inserts", before, tr.Len())
 	}
 
-	// The tree must still answer queries correctly after the rejections.
+	// The good points alone still load and answer correctly.
+	tr, err := BulkLoad(3, 4, good)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nn := tr.NearestNeighbors(1, Point{0, 0, 0})
 	if len(nn) != 1 || nn[0].ID != 0 {
-		t.Fatalf("NearestNeighbors after rejects = %v, want id 0", nn)
+		t.Fatalf("NearestNeighbors = %v, want id 0", nn)
 	}
 }
 
 func TestQueriesRejectNonFinitePoints(t *testing.T) {
-	tr, err := New(2, 4)
+	tr, err := BulkLoad(2, 4, []BulkItem{{ID: 1, Point: Point{1, 1}}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.InsertPoint(1, Point{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	bad := Point{math.NaN(), 0}

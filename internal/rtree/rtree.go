@@ -1,8 +1,9 @@
-// Package rtree implements a dynamic R-tree (Guttman) over points and
-// rectangles in arbitrary dimension, with window search, ball (threshold)
-// search, and best-first k-nearest-neighbor search with MBR pruning — the
+// Package rtree implements a static, STR-packed R-tree over points in
+// arbitrary dimension, with window search, ball (threshold) search, and
+// best-first k-nearest-neighbor search with MBR pruning — the
 // multidimensional access method the DATABASE tier of the paper builds on
-// top of its record store (§2.3).
+// top of its record store (§2.3). A tree is built once by BulkLoad and
+// never modified; a changed point set gets a new tree.
 //
 // Nodes use an RBush-style flat layout (the idiom of tidwall/rtree): one
 // contiguous []float64 holds every entry's box (2·dim coordinates per
@@ -36,15 +37,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// PointRect returns the degenerate rectangle covering exactly p.
-func PointRect(p Point) Rect {
-	min := make(Point, len(p))
-	max := make(Point, len(p))
-	copy(min, p)
-	copy(max, p)
-	return Rect{Min: min, Max: max}
-}
-
 // NewRect validates and returns a rectangle.
 func NewRect(min, max Point) (Rect, error) {
 	if len(min) != len(max) {
@@ -56,52 +48,6 @@ func NewRect(min, max Point) (Rect, error) {
 		}
 	}
 	return Rect{Min: min, Max: max}, nil
-}
-
-// Area returns the hyper-volume of r.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Min {
-		a *= r.Max[i] - r.Min[i]
-	}
-	return a
-}
-
-// Intersects reports whether r and s overlap (touching counts).
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Min {
-		if r.Min[i] > s.Max[i] || r.Max[i] < s.Min[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Contains reports whether r fully contains s.
-func (r Rect) Contains(s Rect) bool {
-	for i := range r.Min {
-		if s.Min[i] < r.Min[i] || s.Max[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MinDist returns the minimum Euclidean distance from p to any point of r
-// (zero when p is inside) — the k-NN pruning bound of Roussopoulos et al.
-func (r Rect) MinDist(p Point) float64 {
-	sum := 0.0
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < r.Min[i]:
-			d = r.Min[i] - p[i]
-		case p[i] > r.Max[i]:
-			d = p[i] - r.Max[i]
-		}
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }
 
 // Dist returns the Euclidean distance between two points.
@@ -138,39 +84,6 @@ func boxRect(b []float64) Rect {
 	return Rect{Min: min, Max: max}
 }
 
-func boxArea(b []float64) float64 {
-	d := len(b) / 2
-	a := 1.0
-	for i := 0; i < d; i++ {
-		a *= b[d+i] - b[i]
-	}
-	return a
-}
-
-// boxUnionArea returns the area of the bounding box of a and b without
-// materializing it.
-func boxUnionArea(a, b []float64) float64 {
-	d := len(a) / 2
-	area := 1.0
-	for i := 0; i < d; i++ {
-		lo := a[i]
-		if b[i] < lo {
-			lo = b[i]
-		}
-		hi := a[d+i]
-		if b[d+i] > hi {
-			hi = b[d+i]
-		}
-		area *= hi - lo
-	}
-	return area
-}
-
-// boxEnlargement returns how much a's area grows to cover b.
-func boxEnlargement(a, b []float64) float64 {
-	return boxUnionArea(a, b) - boxArea(a)
-}
-
 // boxEnlarge grows a in place to cover b.
 func boxEnlarge(a, b []float64) {
 	d := len(a) / 2
@@ -194,17 +107,6 @@ func boxIntersects(a, b []float64) bool {
 	return true
 }
 
-// boxContains reports whether a fully contains b.
-func boxContains(a, b []float64) bool {
-	d := len(a) / 2
-	for i := 0; i < d; i++ {
-		if b[i] < a[i] || b[d+i] > a[d+i] {
-			return false
-		}
-	}
-	return true
-}
-
 func boxEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -217,13 +119,13 @@ func boxEqual(a, b []float64) bool {
 	return true
 }
 
-// boxMinDist is Rect.MinDist over the flat form: the minimum distance from
-// p to any point of the box under the (optionally weighted) Euclidean
-// metric. With w == nil the metric is unweighted. Since every squared
-// per-dimension term is scaled by the same non-negative weight as in the
-// true weighted distance, the result lower-bounds the weighted distance
-// from p to every point inside the box — the provably-safe pruning bound
-// of the weighted k-NN.
+// boxMinDist is the minimum distance from p to any point of the box
+// (zero when p is inside) under the (optionally weighted) Euclidean
+// metric — the k-NN pruning bound of Roussopoulos et al. With w == nil
+// the metric is unweighted. Since every squared per-dimension term is
+// scaled by the same non-negative weight as in the true weighted distance,
+// the result lower-bounds the weighted distance from p to every point
+// inside the box, so it stays a safe pruning bound for the weighted k-NN.
 func boxMinDist(b []float64, p Point, w []float64) float64 {
 	d := len(p)
 	sum := 0.0
@@ -264,40 +166,32 @@ func (n *node) count() int {
 	return len(n.children)
 }
 
-// Tree is a dynamic R-tree. It is not safe for concurrent mutation; wrap
-// with a lock for shared use (internal/shapedb does).
+// Tree is a static R-tree built by BulkLoad. It is immutable once built,
+// so any number of goroutines may query it concurrently.
 type Tree struct {
 	dim        int
 	maxEntries int
-	minEntries int
 	root       *node
 	size       int
 
 	// accesses counts nodes visited by queries since the last ResetStats.
-	// It is atomic so concurrent read-only queries (which the shape
-	// database issues under a shared read lock) stay race-free.
+	// It is atomic so concurrent queries stay race-free.
 	accesses atomic.Int64
 }
 
 // DefaultMaxEntries is the default node fan-out.
 const DefaultMaxEntries = 16
 
-// New creates an R-tree for the given dimensionality and node capacity.
-// maxEntries < 4 is raised to 4; minEntries is maxEntries/2 (Guttman's
-// quadratic-split recommendation).
-func New(dim, maxEntries int) (*Tree, error) {
+// newTree creates an empty tree for the given dimensionality and node
+// capacity; maxEntries < 4 is raised to 4.
+func newTree(dim, maxEntries int) (*Tree, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("rtree: dimension must be positive, got %d", dim)
 	}
 	if maxEntries < 4 {
 		maxEntries = 4
 	}
-	return &Tree{
-		dim:        dim,
-		maxEntries: maxEntries,
-		minEntries: maxEntries / 2,
-		root:       &node{leaf: true},
-	}, nil
+	return &Tree{dim: dim, maxEntries: maxEntries, root: &node{leaf: true}}, nil
 }
 
 // Dim returns the tree's dimensionality.
@@ -355,115 +249,6 @@ func (t *Tree) checkWeights(w []float64) error {
 	return nil
 }
 
-// InsertPoint stores id at position p.
-func (t *Tree) InsertPoint(id int64, p Point) error {
-	if err := t.checkPoint(p); err != nil {
-		return err
-	}
-	box := make([]float64, 2*t.dim)
-	copy(box, p)
-	copy(box[t.dim:], p)
-	t.insertLeafEntry(box, id)
-	t.size++
-	return nil
-}
-
-// InsertRect stores id with bounding rectangle r.
-func (t *Tree) InsertRect(id int64, r Rect) error {
-	if err := t.checkPoint(r.Min); err != nil {
-		return err
-	}
-	if err := t.checkPoint(r.Max); err != nil {
-		return err
-	}
-	t.insertLeafEntry(rectBox(r), id)
-	t.size++
-	return nil
-}
-
-// pathStep is one level of a root-to-node traversal: the node, and its
-// entry index within its parent (undefined for the root).
-type pathStep struct {
-	n   *node
-	idx int
-}
-
-// insertLeafEntry places a leaf entry via Guttman ChooseLeaf and fixes the
-// path upward (splits included). It does not touch t.size — callers do,
-// which lets condense reinsert orphans without double counting.
-func (t *Tree) insertLeafEntry(box []float64, id int64) {
-	path := t.chooseLeaf(box)
-	leaf := path[len(path)-1].n
-	leaf.boxes = append(leaf.boxes, box...)
-	leaf.ids = append(leaf.ids, id)
-	t.adjustPath(path)
-}
-
-// chooseLeaf descends to the leaf needing least enlargement (Guttman CL),
-// returning the full root-to-leaf path.
-func (t *Tree) chooseLeaf(box []float64) []pathStep {
-	path := make([]pathStep, 0, 8)
-	n := t.root
-	path = append(path, pathStep{n: n})
-	for !n.leaf {
-		best := 0
-		bestEnl := math.Inf(1)
-		bestArea := math.Inf(1)
-		for i := range n.children {
-			nb := t.nbox(n, i)
-			enl := boxEnlargement(nb, box)
-			area := boxArea(nb)
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
-			}
-		}
-		n = n.children[best]
-		path = append(path, pathStep{n: n, idx: best})
-	}
-	return path
-}
-
-// adjustPath fixes bounding boxes upward from a modified node and splits
-// overflowing nodes.
-func (t *Tree) adjustPath(path []pathStep) {
-	for pi := len(path) - 1; pi >= 0; pi-- {
-		n := path[pi].n
-		if n.count() > t.maxEntries {
-			a, b := t.splitNode(n)
-			if pi == 0 {
-				// Root split: grow the tree.
-				root := &node{leaf: false}
-				t.appendChild(root, a)
-				t.appendChild(root, b)
-				t.root = root
-			} else {
-				parent := path[pi-1].n
-				t.setChild(parent, path[pi].idx, a)
-				t.appendChild(parent, b)
-			}
-		} else if pi > 0 {
-			parent := path[pi-1].n
-			t.nodeBoxInto(t.nbox(parent, path[pi].idx), n)
-		}
-	}
-}
-
-// appendChild appends c with its tight box as a new entry of internal
-// node n.
-func (t *Tree) appendChild(n *node, c *node) {
-	s := 2 * t.dim
-	n.boxes = append(n.boxes, make([]float64, s)...)
-	t.nodeBoxInto(n.boxes[len(n.boxes)-s:], c)
-	n.children = append(n.children, c)
-}
-
-// setChild replaces entry i of internal node n with child c and its tight
-// box.
-func (t *Tree) setChild(n *node, i int, c *node) {
-	n.children[i] = c
-	t.nodeBoxInto(t.nbox(n, i), c)
-}
-
 // nodeBoxInto writes the tight bounding box of n's entries into dst
 // (len 2·dim). n must have at least one entry.
 func (t *Tree) nodeBoxInto(dst []float64, n *node) {
@@ -472,214 +257,6 @@ func (t *Tree) nodeBoxInto(dst []float64, n *node) {
 	cnt := n.count()
 	for i := 1; i < cnt; i++ {
 		boxEnlarge(dst, n.boxes[i*s:i*s+s])
-	}
-}
-
-// nodeRect returns the tight bounding box of n as a Rect (allocates).
-func (t *Tree) nodeRect(n *node) Rect {
-	box := make([]float64, 2*t.dim)
-	t.nodeBoxInto(box, n)
-	return boxRect(box)
-}
-
-// appendEntryFrom copies entry i of src onto the end of dst (same level,
-// same leaf-ness).
-func (t *Tree) appendEntryFrom(dst, src *node, i int) {
-	dst.boxes = append(dst.boxes, t.nbox(src, i)...)
-	if src.leaf {
-		dst.ids = append(dst.ids, src.ids[i])
-	} else {
-		dst.children = append(dst.children, src.children[i])
-	}
-}
-
-// removeEntry deletes entry i of n, compacting the flat arrays.
-func (t *Tree) removeEntry(n *node, i int) {
-	s := 2 * t.dim
-	copy(n.boxes[i*s:], n.boxes[(i+1)*s:])
-	n.boxes = n.boxes[:len(n.boxes)-s]
-	if n.leaf {
-		n.ids = append(n.ids[:i], n.ids[i+1:]...)
-	} else {
-		n.children = append(n.children[:i], n.children[i+1:]...)
-	}
-}
-
-// splitNode performs Guttman's quadratic split, returning two nodes.
-func (t *Tree) splitNode(n *node) (*node, *node) {
-	cnt := n.count()
-	// Pick seeds: the pair wasting the most area.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < cnt; i++ {
-		bi := t.nbox(n, i)
-		ai := boxArea(bi)
-		for j := i + 1; j < cnt; j++ {
-			bj := t.nbox(n, j)
-			d := boxUnionArea(bi, bj) - ai - boxArea(bj)
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	a := &node{leaf: n.leaf}
-	b := &node{leaf: n.leaf}
-	t.appendEntryFrom(a, n, s1)
-	t.appendEntryFrom(b, n, s2)
-	ra := append([]float64(nil), t.nbox(n, s1)...)
-	rb := append([]float64(nil), t.nbox(n, s2)...)
-
-	rest := make([]int, 0, cnt-2)
-	for i := 0; i < cnt; i++ {
-		if i != s1 && i != s2 {
-			rest = append(rest, i)
-		}
-	}
-	for len(rest) > 0 {
-		// If one group needs all remaining entries to reach minEntries,
-		// assign them all.
-		if a.count()+len(rest) == t.minEntries {
-			for _, i := range rest {
-				t.appendEntryFrom(a, n, i)
-				boxEnlarge(ra, t.nbox(n, i))
-			}
-			break
-		}
-		if b.count()+len(rest) == t.minEntries {
-			for _, i := range rest {
-				t.appendEntryFrom(b, n, i)
-				boxEnlarge(rb, t.nbox(n, i))
-			}
-			break
-		}
-		// PickNext: entry with maximum preference difference.
-		bestIdx, bestDiff := 0, -1.0
-		for ri, i := range rest {
-			eb := t.nbox(n, i)
-			diff := math.Abs(boxEnlargement(ra, eb) - boxEnlargement(rb, eb))
-			if diff > bestDiff {
-				bestIdx, bestDiff = ri, diff
-			}
-		}
-		i := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		eb := t.nbox(n, i)
-		d1 := boxEnlargement(ra, eb)
-		d2 := boxEnlargement(rb, eb)
-		toA := d1 < d2 ||
-			(d1 == d2 && boxArea(ra) < boxArea(rb)) ||
-			(d1 == d2 && boxArea(ra) == boxArea(rb) && a.count() <= b.count())
-		if toA {
-			t.appendEntryFrom(a, n, i)
-			boxEnlarge(ra, eb)
-		} else {
-			t.appendEntryFrom(b, n, i)
-			boxEnlarge(rb, eb)
-		}
-	}
-	return a, b
-}
-
-// Delete removes the entry with the given id whose rectangle matches r
-// exactly (use PointRect for point entries). It reports whether an entry
-// was removed.
-func (t *Tree) Delete(id int64, r Rect) bool {
-	if len(r.Min) != t.dim || len(r.Max) != t.dim {
-		return false
-	}
-	box := rectBox(r)
-	path := make([]pathStep, 0, 8)
-	path = append(path, pathStep{n: t.root})
-	if !t.findLeaf(t.root, box, id, &path) {
-		return false
-	}
-	leaf := path[len(path)-1].n
-	for i := 0; i < len(leaf.ids); i++ {
-		if leaf.ids[i] == id && boxEqual(t.nbox(leaf, i), box) {
-			t.removeEntry(leaf, i)
-			break
-		}
-	}
-	t.size--
-	t.condense(path)
-	// Shrink the root when it has a single child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-	}
-	if t.root.count() == 0 {
-		t.root = &node{leaf: true}
-	}
-	return true
-}
-
-// DeletePoint removes the point entry (id, p).
-func (t *Tree) DeletePoint(id int64, p Point) bool {
-	return t.Delete(id, PointRect(p))
-}
-
-// findLeaf extends path down to the leaf holding (id, box), reporting
-// whether it was found.
-func (t *Tree) findLeaf(n *node, box []float64, id int64, path *[]pathStep) bool {
-	if n.leaf {
-		for i := range n.ids {
-			if n.ids[i] == id && boxEqual(t.nbox(n, i), box) {
-				return true
-			}
-		}
-		return false
-	}
-	for i, c := range n.children {
-		if boxContains(t.nbox(n, i), box) {
-			*path = append(*path, pathStep{n: c, idx: i})
-			if t.findLeaf(c, box, id, path) {
-				return true
-			}
-			*path = (*path)[:len(*path)-1]
-		}
-	}
-	return false
-}
-
-// condense removes underfull nodes along the path and reinserts their
-// orphaned entries (Guttman CT).
-func (t *Tree) condense(path []pathStep) {
-	type orphan struct {
-		box []float64
-		id  int64
-	}
-	var orphans []orphan
-	for pi := len(path) - 1; pi > 0; pi-- {
-		n := path[pi].n
-		parent := path[pi-1].n
-		idx := path[pi].idx
-		if n.count() < t.minEntries {
-			// Remove this node from its parent and stash its entries.
-			t.collectLeafEntries(n, func(box []float64, id int64) {
-				orphans = append(orphans, orphan{box: append([]float64(nil), box...), id: id})
-			})
-			t.removeEntry(parent, idx)
-			// Parent indices of siblings after idx shifted; the path above
-			// only references the parent and upward, so this is safe.
-		} else if n.count() > 0 {
-			t.nodeBoxInto(t.nbox(parent, idx), n)
-		}
-	}
-	for _, o := range orphans {
-		t.insertLeafEntry(o.box, o.id)
-	}
-}
-
-// collectLeafEntries calls fn for every leaf entry under n. The box slice
-// aliases node storage; fn must copy if it retains it.
-func (t *Tree) collectLeafEntries(n *node, fn func(box []float64, id int64)) {
-	if n.leaf {
-		for i := range n.ids {
-			fn(t.nbox(n, i), n.ids[i])
-		}
-		return
-	}
-	for _, c := range n.children {
-		t.collectLeafEntries(c, fn)
 	}
 }
 

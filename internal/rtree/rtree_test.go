@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -37,25 +38,25 @@ func linearKNN(pts []Point, q Point, k int) []Neighbor {
 	return out[:k]
 }
 
+// buildTree bulk-loads pts with ids 0..len(pts)-1.
 func buildTree(t *testing.T, pts []Point, dim, capacity int) *Tree {
 	t.Helper()
-	tr, err := New(dim, capacity)
+	items := make([]BulkItem, len(pts))
+	for i, p := range pts {
+		items[i] = BulkItem{ID: int64(i), Point: p}
+	}
+	tr, err := BulkLoad(dim, capacity, items)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i, p := range pts {
-		if err := tr.InsertPoint(int64(i), p); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return tr
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 8); err == nil {
+	if _, err := newTree(0, 8); err == nil {
 		t.Error("zero dimension accepted")
 	}
-	tr, err := New(3, 2) // below minimum fan-out: raised to 4
+	tr, err := BulkLoad(3, 2, nil) // below minimum fan-out: raised to 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +65,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestInsertValidation checks that a bad point cannot enter a tree: the
+// load fails and names the offending item.
 func TestInsertValidation(t *testing.T) {
-	tr, _ := New(3, 8)
-	if err := tr.InsertPoint(1, Point{1, 2}); err == nil {
-		t.Error("wrong dimension accepted")
-	}
-	if err := tr.InsertPoint(1, Point{1, 2, math.NaN()}); err == nil {
-		t.Error("NaN coordinate accepted")
-	}
-	if err := tr.InsertPoint(1, Point{1, 2, math.Inf(1)}); err == nil {
-		t.Error("Inf coordinate accepted")
+	for _, bad := range []Point{{1, 2}, {1, 2, math.NaN()}, {1, 2, math.Inf(1)}} {
+		items := []BulkItem{{ID: 1, Point: Point{0, 0, 0}}, {ID: 42, Point: bad}}
+		_, err := BulkLoad(3, 8, items)
+		if err == nil {
+			t.Errorf("point %v accepted", bad)
+		} else if !strings.Contains(err.Error(), "item 42") {
+			t.Errorf("point %v: error %q does not name item 42", bad, err)
+		}
 	}
 }
 
@@ -88,8 +90,8 @@ func TestRectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Area() != 6 {
-		t.Errorf("Area = %v", r.Area())
+	if b := rectBox(r); !boxEqual(b, []float64{0, 0, 2, 3}) {
+		t.Errorf("box = %v", b)
 	}
 }
 
@@ -97,17 +99,14 @@ func TestRectOps(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{2, 2})
 	b, _ := NewRect(Point{1, 1}, Point{3, 3})
 	c, _ := NewRect(Point{5, 5}, Point{6, 6})
-	if !a.Intersects(b) || !b.Intersects(a) {
+	if !boxIntersects(rectBox(a), rectBox(b)) || !boxIntersects(rectBox(b), rectBox(a)) {
 		t.Error("overlapping rects not intersecting")
 	}
-	if a.Intersects(c) {
+	if boxIntersects(rectBox(a), rectBox(c)) {
 		t.Error("distant rects intersecting")
 	}
-	if !a.Contains(Rect{Point{0.5, 0.5}, Point{1, 1}}) {
-		t.Error("containment failed")
-	}
-	if a.Contains(b) {
-		t.Error("partial overlap reported contained")
+	if !boxIntersects(rectBox(a), rectBox(Rect{Point{2, 2}, Point{4, 4}})) {
+		t.Error("touching rects not intersecting")
 	}
 	ub := rectBox(a)
 	boxEnlarge(ub, rectBox(b))
@@ -117,15 +116,18 @@ func TestRectOps(t *testing.T) {
 }
 
 func TestMinDist(t *testing.T) {
-	r, _ := NewRect(Point{0, 0}, Point{2, 2})
-	if d := r.MinDist(Point{1, 1}); d != 0 {
+	b := []float64{0, 0, 2, 2}
+	if d := boxMinDist(b, Point{1, 1}, nil); d != 0 {
 		t.Errorf("inside MinDist = %v", d)
 	}
-	if d := r.MinDist(Point{5, 2}); d != 3 {
+	if d := boxMinDist(b, Point{5, 2}, nil); d != 3 {
 		t.Errorf("side MinDist = %v", d)
 	}
-	if d := r.MinDist(Point{5, 6}); math.Abs(d-5) > 1e-12 {
+	if d := boxMinDist(b, Point{5, 6}, nil); math.Abs(d-5) > 1e-12 {
 		t.Errorf("corner MinDist = %v, want 5", d)
+	}
+	if d := boxMinDist(b, Point{5, 6}, []float64{4, 0}); d != 6 {
+		t.Errorf("weighted MinDist = %v, want 6", d)
 	}
 }
 
@@ -210,11 +212,11 @@ func TestKNNOrdering(t *testing.T) {
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	tr, _ := New(2, 8)
+	tr := buildTree(t, nil, 2, 8)
 	if got := tr.NearestNeighbors(3, Point{0, 0}); got != nil {
 		t.Errorf("empty tree k-NN = %v", got)
 	}
-	tr.InsertPoint(7, Point{1, 1})
+	tr, _ = BulkLoad(2, 8, []BulkItem{{ID: 7, Point: Point{1, 1}}})
 	if got := tr.NearestNeighbors(0, Point{0, 0}); got != nil {
 		t.Errorf("k=0 = %v", got)
 	}
@@ -258,11 +260,11 @@ func TestWithinRadiusMatchesLinearScan(t *testing.T) {
 }
 
 func TestWithinRadiusEdgeCases(t *testing.T) {
-	tr, _ := New(2, 8)
+	tr := buildTree(t, nil, 2, 8)
 	if got := tr.WithinRadius(Point{0, 0}, 5); got != nil {
 		t.Errorf("empty tree = %v", got)
 	}
-	tr.InsertPoint(1, Point{1, 0})
+	tr = buildTree(t, []Point{{1, 0}}, 2, 8)
 	if got := tr.WithinRadius(Point{0, 0}, -1); got != nil {
 		t.Errorf("negative radius = %v", got)
 	}
@@ -271,133 +273,25 @@ func TestWithinRadiusEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	pts := randomPoints(300, 3, rng)
-	tr := buildTree(t, pts, 3, 8)
-	// Delete half the points in random order.
-	perm := rng.Perm(len(pts))
-	deleted := map[int64]bool{}
-	for _, i := range perm[:150] {
-		if !tr.DeletePoint(int64(i), pts[i]) {
-			t.Fatalf("delete of existing point %d failed", i)
-		}
-		deleted[int64(i)] = true
-	}
-	if tr.Len() != 150 {
-		t.Errorf("Len = %d, want 150", tr.Len())
-	}
-	// Deleted points are gone, surviving ones still found.
-	all, _ := NewRect(Point{0, 0, 0}, Point{100, 100, 100})
-	found := map[int64]bool{}
-	tr.Search(all, func(id int64, _ Rect) bool {
-		found[id] = true
-		return true
-	})
-	for id := range deleted {
-		if found[id] {
-			t.Fatalf("deleted id %d still present", id)
-		}
-	}
-	if len(found) != 150 {
-		t.Errorf("found %d entries after deletes", len(found))
-	}
-	// k-NN still correct after heavy deletion.
-	var survivors []Point
-	var survivorIDs []int64
-	for i, p := range pts {
-		if !deleted[int64(i)] {
-			survivors = append(survivors, p)
-			survivorIDs = append(survivorIDs, int64(i))
-		}
-	}
-	q := randomPoints(1, 3, rng)[0]
-	got := tr.NearestNeighbors(5, q)
-	bestDist := math.Inf(1)
-	var bestID int64
-	for j, p := range survivors {
-		if d := Dist(p, q); d < bestDist {
-			bestDist, bestID = d, survivorIDs[j]
-		}
-	}
-	if got[0].ID != bestID {
-		t.Errorf("post-delete NN = %d, want %d", got[0].ID, bestID)
-	}
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr, _ := New(2, 8)
-	tr.InsertPoint(1, Point{1, 1})
-	if tr.DeletePoint(2, Point{1, 1}) {
-		t.Error("deleted wrong id")
-	}
-	if tr.DeletePoint(1, Point{2, 2}) {
-		t.Error("deleted wrong location")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-func TestDeleteAllThenReuse(t *testing.T) {
-	tr, _ := New(2, 4)
-	pts := randomPoints(100, 2, rand.New(rand.NewSource(66)))
-	for i, p := range pts {
-		tr.InsertPoint(int64(i), p)
-	}
-	for i, p := range pts {
-		if !tr.DeletePoint(int64(i), p) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after deleting all", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Errorf("Height = %d after deleting all", tr.Height())
-	}
-	// Tree remains usable.
-	tr.InsertPoint(999, Point{5, 5})
-	got := tr.NearestNeighbors(1, Point{5, 5})
-	if len(got) != 1 || got[0].ID != 999 {
-		t.Errorf("reuse after empty failed: %v", got)
-	}
-}
-
-func TestInsertRectAndSearch(t *testing.T) {
-	tr, _ := New(2, 8)
-	r1, _ := NewRect(Point{0, 0}, Point{2, 2})
-	r2, _ := NewRect(Point{10, 10}, Point{12, 12})
-	tr.InsertRect(1, r1)
-	tr.InsertRect(2, r2)
-	q, _ := NewRect(Point{1, 1}, Point{3, 3})
-	var ids []int64
-	tr.Search(q, func(id int64, _ Rect) bool {
-		ids = append(ids, id)
-		return true
-	})
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Errorf("rect search = %v", ids)
-	}
-	if !tr.Delete(1, r1) {
-		t.Error("rect delete failed")
-	}
-}
-
+// TestHeightGrowth checks the packed tree is exactly as tall as its
+// fan-out requires: ceil(log_M n) levels above the points, at least one.
 func TestHeightGrowth(t *testing.T) {
-	tr, _ := New(2, 4)
-	if tr.Height() != 1 {
-		t.Errorf("empty height = %d", tr.Height())
+	if h := buildTree(t, nil, 2, 4).Height(); h != 1 {
+		t.Errorf("empty height = %d", h)
 	}
 	rng := rand.New(rand.NewSource(67))
-	for i, p := range randomPoints(500, 2, rng) {
-		tr.InsertPoint(int64(i), p)
-	}
-	if h := tr.Height(); h < 3 {
-		t.Errorf("height after 500 inserts at fan-out 4 = %d, want ≥3", h)
-	}
-	if tr.Len() != 500 {
-		t.Errorf("Len = %d", tr.Len())
+	for _, n := range []int{1, 4, 5, 16, 17, 64, 65, 500} {
+		tr := buildTree(t, randomPoints(n, 2, rng), 2, 4)
+		want := 1
+		for c := 4; c < n; c *= 4 {
+			want++
+		}
+		if h := tr.Height(); h != want {
+			t.Errorf("height of %d points at fan-out 4 = %d, want %d", n, h, want)
+		}
+		if tr.Len() != n {
+			t.Errorf("Len = %d, want %d", tr.Len(), n)
+		}
 	}
 }
 

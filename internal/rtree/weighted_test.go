@@ -20,6 +20,20 @@ func weightedDist(a, b Point, w []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// loadMap bulk-loads a tree over an id → point map.
+func loadMap(t *testing.T, dim int, pts map[int64]Point) *Tree {
+	t.Helper()
+	items := make([]BulkItem, 0, len(pts))
+	for id, p := range pts {
+		items = append(items, BulkItem{ID: id, Point: p})
+	}
+	tr, err := BulkLoad(dim, 8, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // bruteWeightedKNN ranks the points by weighted distance with the same
 // (dist, id) tie-break the tree uses.
 func bruteWeightedKNN(pts map[int64]Point, q Point, w []float64, k int) []Neighbor {
@@ -43,10 +57,6 @@ func TestNearestNeighborsWeightedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		dim := 2 + trial%4
-		tr, err := New(dim, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pts := make(map[int64]Point)
 		n := 50 + rng.Intn(400)
 		for i := 0; i < n; i++ {
@@ -55,12 +65,9 @@ func TestNearestNeighborsWeightedMatchesBruteForce(t *testing.T) {
 				// Coarse grid so exact distance ties occur regularly.
 				p[d] = float64(rng.Intn(12))
 			}
-			id := int64(i + 1)
-			pts[id] = p
-			if err := tr.InsertPoint(id, p); err != nil {
-				t.Fatal(err)
-			}
+			pts[int64(i+1)] = p
 		}
+		tr := loadMap(t, dim, pts)
 		w := make([]float64, dim)
 		for d := range w {
 			w[d] = rng.Float64() * 3
@@ -101,22 +108,15 @@ func TestNearestNeighborsWeightedMatchesBruteForce(t *testing.T) {
 func TestWithinRadiusWeightedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	dim := 3
-	tr, err := New(dim, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pts := make(map[int64]Point)
 	for i := 0; i < 300; i++ {
 		p := make(Point, dim)
 		for d := range p {
 			p[d] = rng.Float64() * 10
 		}
-		id := int64(i + 1)
-		pts[id] = p
-		if err := tr.InsertPoint(id, p); err != nil {
-			t.Fatal(err)
-		}
+		pts[int64(i+1)] = p
 	}
+	tr := loadMap(t, dim, pts)
 	w := []float64{2.5, 0.5, 1}
 	q := Point{5, 5, 5}
 	for _, radius := range []float64{0, 1, 3, 8, 100} {
@@ -139,8 +139,7 @@ func TestWithinRadiusWeightedMatchesBruteForce(t *testing.T) {
 }
 
 func TestWeightedQueriesRejectBadWeights(t *testing.T) {
-	tr, _ := New(3, 8)
-	_ = tr.InsertPoint(1, Point{1, 2, 3})
+	tr := loadMap(t, 3, map[int64]Point{1: {1, 2, 3}})
 	q := Point{0, 0, 0}
 	for _, w := range [][]float64{
 		{1, 2},              // wrong dimension

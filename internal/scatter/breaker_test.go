@@ -221,8 +221,12 @@ func TestAttemptHedgedDoesNotLeakGoroutines(t *testing.T) {
 	}
 	close(release) // let the parked handlers finish server-side
 
+	// Pooled keep-alive connections to the fast replica are not leaks, but
+	// each holds a client read/write loop and a server conn goroutine;
+	// drop them so only stranded hedge losers can keep the count up.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
+		sc.httpc.CloseIdleConnections()
 		if runtime.NumGoroutine() <= before+2 {
 			return
 		}

@@ -109,9 +109,7 @@ func TestTriggeredCompactionCrashMatrix(t *testing.T) {
 					t.Errorf("%s: record %d scrubs %v after recovery (%s)", tag, id, f.State, f.Detail)
 				}
 			}
-			if rep := re.VerifyIndexes(); !rep.Clean() {
-				t.Errorf("%s: index<->store divergence after recovery: %+v", tag, rep)
-			}
+			checkKNNMatchesStore(t, re, tag+": after recovery")
 			re.Close()
 		}
 	}

@@ -37,6 +37,31 @@ func insertOne(t *testing.T, db *shapedb.DB, name string, group int, base float6
 	return id
 }
 
+// checkKNNMatchesStore fails unless a k-NN over every core kind returns
+// exactly the live record set: nothing deleted or quarantined, nothing
+// missing.
+func checkKNNMatchesStore(t *testing.T, db *shapedb.DB, tag string) {
+	t.Helper()
+	live := make(map[int64]bool)
+	for _, id := range db.IDs() {
+		live[id] = true
+	}
+	for _, k := range features.CoreKinds {
+		nn, err := db.KNN(k, fixedSet(db.Options(), 0)[k], len(live)+1)
+		if err != nil {
+			t.Fatalf("%s: KNN(%v): %v", tag, k, err)
+		}
+		if len(nn) != len(live) {
+			t.Fatalf("%s: KNN(%v) returned %d records, store holds %d", tag, k, len(nn), len(live))
+		}
+		for _, n := range nn {
+			if !live[n.ID] {
+				t.Fatalf("%s: KNN(%v) returned record %d, which is not live", tag, k, n.ID)
+			}
+		}
+	}
+}
+
 func openDB(t *testing.T) (*shapedb.DB, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -238,7 +263,6 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 	}
 	m := New(db, Config{
 		ScrubInterval:        5 * time.Millisecond,
-		ReconcileInterval:    7 * time.Millisecond,
 		CompactCheckInterval: 5 * time.Millisecond,
 		CompactRatio:         2.0,
 		Workers:              2,
@@ -248,7 +272,7 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st := m.Status()
-		if st.ScrubRuns > 0 && st.ReconcileRuns > 0 {
+		if st.ScrubRuns > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -270,8 +294,8 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 }
 
 // TestMaintenanceConcurrentMixedOps extends the DB's mixed-ops race test
-// across the maintenance loops: scrubbing, reconciliation, and
-// auto-compaction all run at aggressive intervals while inserts, deletes,
+// across the maintenance loops: scrubbing and auto-compaction both run at
+// aggressive intervals while inserts, deletes,
 // and KNN queries hammer the store. Run under -race this is the
 // lock-discipline proof for the whole self-healing layer.
 func TestMaintenanceConcurrentMixedOps(t *testing.T) {
@@ -285,7 +309,6 @@ func TestMaintenanceConcurrentMixedOps(t *testing.T) {
 		ScrubInterval:        time.Millisecond,
 		ScrubRate:            0, // unthrottled: maximize interleaving
 		Workers:              4,
-		ReconcileInterval:    time.Millisecond,
 		CompactCheckInterval: time.Millisecond,
 		CompactRatio:         1.5,
 		CompactMinDead:       10,
@@ -366,9 +389,7 @@ func TestMaintenanceConcurrentMixedOps(t *testing.T) {
 	m.Stop()
 
 	// Quiesced: the store must be fully self-consistent.
-	if rep := db.VerifyIndexes(); !rep.Clean() {
-		t.Fatalf("index<->store divergence after mixed ops: %+v", rep)
-	}
+	checkKNNMatchesStore(t, db, "after mixed ops")
 	final := m.ScrubOnce(context.Background())
 	if len(final.Findings) != 0 {
 		t.Fatalf("scrub findings after mixed ops: %+v", final.Findings)

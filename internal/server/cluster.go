@@ -306,7 +306,7 @@ func (s *Server) clusterSearch(w http.ResponseWriter, r *http.Request, req Searc
 	}
 	// Coarse tier: the whole fleet runs the filter stage only, and the
 	// merged answer carries one X-Degraded marking. Explicit exact
-	// requests opted out; unweighted queries are already cheap shard-side.
+	// requests opted out; unweighted queries stay exact.
 	degraded := ""
 	scanMode := req.ScanMode
 	if mode == core.ScanCoarse {

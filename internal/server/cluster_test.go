@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -126,14 +127,23 @@ func newTestClusterCfg(t *testing.T, shards int, policy scatter.Policy, withFaul
 func (tc *testCluster) seedSynthetic(t *testing.T, m int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	mesh := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	var prev features.Vector
-	for i := 1; i <= m; i++ {
-		vec := features.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
-		if i%3 == 0 && prev != nil {
-			vec = append(features.Vector(nil), prev...) // exact duplicate → tie
+	vecs := make([]features.Vector, m)
+	for i := range vecs {
+		vecs[i] = features.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
+		if (i+1)%3 == 0 {
+			vecs[i] = append(features.Vector(nil), vecs[i-1]...) // exact duplicate → tie
 		}
-		prev = vec
+	}
+	tc.seedVectors(t, vecs)
+}
+
+// seedVectors stores one principal-moments record per vector — explicit
+// ids 1..len(vecs) — on the reference node and on its owning shard.
+func (tc *testCluster) seedVectors(t *testing.T, vecs []features.Vector) {
+	t.Helper()
+	mesh := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
+	for n, vec := range vecs {
+		i := n + 1
 		set := features.Set{features.PrincipalMoments: vec}
 		name := fmt.Sprintf("syn-%d", i)
 		opts := shapedb.InsertOpts{ID: int64(i)}
@@ -203,9 +213,9 @@ func TestClusterMergeEquivalence(t *testing.T) {
 	}
 }
 
-// Nil weights on the coordinator are canonicalized to explicit uniform
-// ones — arithmetically identical under Equation 4.3 — so the merged
-// answer must match a uniformly weighted single-node scan bit for bit.
+// Nil weights mean uniform ones — arithmetically identical under
+// Equation 4.3 — so the merged nil-weight answer must match a uniformly
+// weighted single-node scan bit for bit.
 func TestClusterNilWeightsCanonicalized(t *testing.T) {
 	tc := newTestCluster(t, 4, fastPolicy(), false)
 	tc.seedSynthetic(t, 45)
@@ -223,6 +233,94 @@ func TestClusterNilWeightsCanonicalized(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cluster, ref) {
 		t.Fatalf("nil-weight cluster answer != uniform-weight reference\ncluster: %+v\nref:     %+v", cluster, ref)
+	}
+}
+
+// TestClusterUnweightedCanonical checks that "unweighted" means uniform
+// weights on every path. On corpora with duplicated vectors (so distance
+// ties exist) on both sides of the 4096-record auto threshold, nil-weight
+// top-k and threshold answers equal, tie order included: the exact scan
+// with explicit uniform weights, the two-stage search, and a 3-shard
+// coordinator (whose shards stay below the threshold while the single
+// node crosses it).
+func TestClusterUnweightedCanonical(t *testing.T) {
+	kind := features.PrincipalMoments
+	uniform := []float64{1, 1, 1}
+	wire := func(rs []core.Result) []SearchResult {
+		out := make([]SearchResult, 0, len(rs)) // the wire form of no rows is [], not null
+		for _, r := range rs {
+			out = append(out, SearchResult{ID: r.ID, Name: r.Name, Group: r.Group, Distance: r.Distance, Similarity: r.Similarity})
+		}
+		return out
+	}
+	for _, size := range []int{600, 4200} {
+		t.Run(fmt.Sprintf("records=%d", size), func(t *testing.T) {
+			// Vectors on a coarse 6×6×6 grid: every grid point is stored
+			// several times, and equal distances abound at every rank.
+			rng := rand.New(rand.NewSource(int64(size)))
+			grid := func() float64 { return float64(rng.Intn(6)) / 5 }
+			vecs := make([]features.Vector, size)
+			for i := range vecs {
+				vecs[i] = features.Vector{grid(), grid(), grid()}
+			}
+			tc := newTestCluster(t, 3, fastPolicy(), false)
+			tc.seedVectors(t, vecs)
+			eng := core.NewEngine(tc.refDB)
+			// A stored vector (a tie group at distance 0), other grid
+			// points, and off-grid points.
+			queries := [][]float64{vecs[0], {grid(), grid(), grid()}, {0.5, 0.5, 0.5}}
+			for i := 0; i < 3; i++ {
+				queries = append(queries, []float64{rng.Float64(), rng.Float64(), rng.Float64()})
+			}
+			// check runs one nil-weight search on every path; opt carries
+			// K or Threshold, and req the same on the wire.
+			check := func(what string, qv []float64, opt core.Options, req SearchRequest) {
+				t.Helper()
+				set := features.Set{kind: qv}
+				search := func(o core.Options) []core.Result {
+					t.Helper()
+					o.Feature = kind
+					var res []core.Result
+					var err error
+					if o.K > 0 {
+						res, err = eng.SearchTopK(context.Background(), set, o)
+					} else {
+						res, err = eng.SearchThreshold(context.Background(), set, o)
+					}
+					if err != nil {
+						t.Fatalf("%s mode %v: %v", what, o.Mode, err)
+					}
+					return res
+				}
+				got := search(opt)
+				exact, two := opt, opt
+				exact.Weights, exact.Mode = uniform, core.ScanExact
+				two.Weights, two.Mode = uniform, core.ScanTwoStage
+				if want := search(exact); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: nil weights != uniform exact scan\ngot:  %+v\nwant: %+v", what, got, want)
+				}
+				if want := search(two); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: nil weights != uniform two-stage\ngot:  %+v\nwant: %+v", what, got, want)
+				}
+				req.QueryVector, req.Feature = qv, kind.String()
+				cluster, ref := tc.searchBoth(t, req)
+				if !reflect.DeepEqual(ref, wire(got)) {
+					t.Fatalf("%s: single-node HTTP answer != engine answer\nhttp:   %+v\nengine: %+v", what, ref, got)
+				}
+				if !reflect.DeepEqual(cluster, ref) {
+					t.Fatalf("%s: coordinator != single node\ncluster: %+v\nref:     %+v", what, cluster, ref)
+				}
+			}
+			for qi, qv := range queries {
+				for _, k := range []int{1, 10, 37} {
+					check(fmt.Sprintf("query %d top-%d", qi, k), qv, core.Options{K: k}, SearchRequest{K: k})
+				}
+				for _, thr := range []float64{0.8, 0.95} {
+					thr := thr
+					check(fmt.Sprintf("query %d threshold %.2f", qi, thr), qv, core.Options{Threshold: thr}, SearchRequest{Threshold: &thr})
+				}
+			}
+		})
 	}
 }
 

@@ -239,7 +239,7 @@ type SearchRequest struct {
 	Threshold *float64  `json:"threshold,omitempty"` // threshold search when set
 	K         int       `json:"k,omitempty"`         // top-k search otherwise (default 10)
 	Weights   []float64 `json:"weights,omitempty"`
-	// ScanMode picks how a weighted search executes: "auto" (default,
+	// ScanMode picks how a search executes: "auto" (default,
 	// engine decides), "exact" (exhaustive scan — the escape hatch), or
 	// "two-stage" (columnar filter-and-refine). Results are identical in
 	// every mode.
@@ -315,7 +315,7 @@ type BrowseNodeJSON struct {
 }
 
 // StatsResponse reports database statistics plus the operator-facing
-// execution view: which scan mode serves weighted queries, this node's
+// execution view: which scan mode serves queries, this node's
 // cluster role, the highest id ever assigned (the seed for a
 // coordinator's id allocator), and — on a coordinator — per-shard health.
 type StatsResponse struct {
@@ -772,7 +772,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The coarse tier swaps the scan mode under the request: the two-stage
 	// filter stage becomes the answer, marked X-Degraded. An explicit
 	// exact request is honored (the client opted out of approximation),
-	// and unweighted queries already serve cheaply through the R-tree.
+	// and unweighted queries stay exact.
 	degraded := ""
 	effMode := mode
 	if mode == core.ScanCoarse {
@@ -990,11 +990,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Role:     s.clusterRoleName(),
 		MaxID:    db.MaxID(),
 	}
+	stored := map[features.Kind]bool{}
 	for _, rec := range snap {
 		resp.Groups[strconv.Itoa(rec.Group)]++
+		for k := range rec.Features {
+			stored[k] = true
+		}
 	}
 	for _, k := range features.AllKinds {
-		if db.HasIndex(k) {
+		if stored[k] {
 			resp.Features = append(resp.Features, k.String())
 		}
 	}

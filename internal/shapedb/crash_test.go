@@ -485,3 +485,63 @@ func TestRecoveryReportMidFileCorruption(t *testing.T) {
 		t.Errorf("DiscardedBytes = %d, want %d", rep.DiscardedBytes, int64(len(data))-ends[0])
 	}
 }
+
+// blockingRenameFS stalls Rename until released, keeping a compaction
+// in-flight long enough for a second call to race it.
+type blockingRenameFS struct {
+	faultfs.FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingRenameFS) Rename(oldpath, newpath string) error {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.FS.Rename(oldpath, newpath)
+}
+
+func TestCompactConcurrentInvocationGuard(t *testing.T) {
+	// entered is buffered so renames after the choreographed one (the
+	// final sanity compaction below) pass straight through; release is
+	// closed once, and a closed channel never blocks receivers.
+	bfs := &blockingRenameFS{
+		FS:      faultfs.OS{},
+		entered: make(chan struct{}, 4),
+		release: make(chan struct{}),
+	}
+	db, err := OpenFS(t.TempDir(), features.Options{}, bfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var ids []int64
+	for i := 0; i < 6; i++ {
+		ids = append(ids, testRecord(t, db, "g", 0, float64(i)))
+	}
+	for _, id := range ids[:3] {
+		if _, err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make(chan error, 1)
+	go func() { first <- db.Compact() }()
+	<-bfs.entered // first compaction is mid-rename, still holding the guard
+	// The racing call must return the sentinel immediately — it cannot
+	// block on db.mu (the first holds it) because the guard is checked
+	// before the lock.
+	if err := db.Compact(); err != ErrCompactionInProgress {
+		t.Fatalf("racing Compact returned %v, want ErrCompactionInProgress", err)
+	}
+	close(bfs.release)
+	if err := <-first; err != nil {
+		t.Fatalf("first Compact failed: %v", err)
+	}
+	// Guard released: a later compaction succeeds.
+	if err := db.Compact(); err != nil {
+		t.Fatalf("post-race Compact failed: %v", err)
+	}
+	st := db.Stats()
+	if st.LiveRecords != 3 || st.DeadEntries != 0 {
+		t.Fatalf("post-compaction stats: %+v", st)
+	}
+}

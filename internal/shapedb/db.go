@@ -1,9 +1,11 @@
 // Package shapedb is the DATABASE tier of 3DESS (§2.3): a concurrency-safe
-// shape record store with per-feature R-tree indexes kept in sync on every
-// insert and delete, durable via an append-only CRC-checked journal with
+// shape record store, durable via an append-only CRC-checked journal with
 // crash recovery and compaction. It substitutes for the paper's Oracle 8i
 // installation while preserving the architecture: "the multi-dimensional
-// index is built on top of [the] database".
+// index is built on top of [the] database". The per-feature R-trees behind
+// KNN are derived from the records on demand — bulk-loaded from a snapshot
+// and replaced whole when the record set has changed — so no write path
+// maintains them and they cannot diverge from the records.
 package shapedb
 
 import (
@@ -53,7 +55,6 @@ type DB struct {
 	opts    features.Options
 	records map[int64]*Record
 	nextID  int64
-	indexes map[features.Kind]*rtree.Tree
 	// Feature-space bounds per kind, maintained on insert, used for the
 	// dmax of Equation 4.4. Deletes do not shrink the bounds (a stable
 	// upper bound keeps similarity values comparable over time).
@@ -73,7 +74,7 @@ type DB struct {
 	liveBytes  int64
 	entryCount int
 	// quarantined holds records the scrubber pulled out of service:
-	// removed from records and every index, kept here for inspection.
+	// removed from records, kept here for inspection.
 	// dirtyQuarantine counts quarantines whose (possibly rotten) frames
 	// are still in the journal file — reset when compaction rewrites it.
 	quarantined     map[int64]QuarantineInfo
@@ -109,6 +110,18 @@ type DB struct {
 	// compaction — which rewrites the journal from the in-memory state
 	// holding exactly the acknowledged writes — clears it.
 	fenced error
+
+	// trees caches one STR-packed R-tree per feature kind for KNN, each
+	// tagged with the version of the snapshot it was loaded from. Guarded
+	// by treeMu, never by mu: no write path touches them.
+	treeMu sync.Mutex
+	trees  map[features.Kind]versionedTree
+}
+
+// versionedTree is an immutable R-tree over the records of one snapshot.
+type versionedTree struct {
+	version int64
+	tree    *rtree.Tree
 }
 
 // frameRef locates one record's insert frame in the journal file.
@@ -137,7 +150,6 @@ func OpenFS(dir string, opts features.Options, fsys faultfs.FS) (*DB, error) {
 	db := &DB{
 		opts:        features.NewExtractor(opts).Options(),
 		records:     make(map[int64]*Record),
-		indexes:     make(map[features.Kind]*rtree.Tree),
 		lo:          make(map[features.Kind][]float64),
 		hi:          make(map[features.Kind][]float64),
 		nextID:      1,
@@ -169,10 +181,11 @@ func OpenFS(dir string, opts features.Options, fsys faultfs.FS) (*DB, error) {
 			if err != nil {
 				return fmt.Errorf("shapedb: journal entry %d: %w", e.ID, err)
 			}
-			// A decodable entry can still carry vectors the index must not
-			// see — non-finite coordinates, or dimensions from a different
-			// option set than this open. Applying it would panic deep in
-			// applyInsert (and poison MBRs); skip it and report instead.
+			// A decodable entry can still carry vectors no search may see —
+			// non-finite coordinates, or dimensions from a different option
+			// set than this open. Applying it would poison the feature-space
+			// bounds and fail every later R-tree load and scan of the kind;
+			// skip it and report instead.
 			if checkFeatures(db.opts, set) != nil {
 				skipped++
 				return nil
@@ -284,8 +297,8 @@ func (db *DB) Len() int {
 	return len(db.records)
 }
 
-// Insert stores a shape and indexes every feature vector in its set. It
-// returns the assigned database ID.
+// Insert stores a shape with every feature vector in its set. It returns
+// the assigned database ID.
 func (db *DB) Insert(name string, group int, mesh *geom.Mesh, set features.Set) (int64, error) {
 	return db.InsertFull(name, group, mesh, set, nil)
 }
@@ -496,20 +509,6 @@ func (db *DB) applyInsert(rec *Record) {
 		m[rec.IdemIndex] = rec.ID
 	}
 	for k, v := range rec.Features {
-		idx, ok := db.indexes[k]
-		if !ok {
-			var err error
-			idx, err = rtree.New(len(v), rtree.DefaultMaxEntries)
-			if err != nil {
-				panic("shapedb: index creation: " + err.Error())
-			}
-			db.indexes[k] = idx
-		}
-		if err := idx.InsertPoint(rec.ID, rtree.Point(v)); err != nil {
-			// Dimensions were validated up front; a failure here means
-			// non-finite features slipped in.
-			panic("shapedb: index insert: " + err.Error())
-		}
 		db.growBounds(k, v)
 	}
 }
@@ -563,11 +562,6 @@ func (db *DB) applyDelete(id int64) {
 		return
 	}
 	db.version++
-	for k, v := range rec.Features {
-		if idx, ok := db.indexes[k]; ok {
-			idx.DeletePoint(id, rtree.Point(v))
-		}
-	}
 	delete(db.records, id)
 	db.dropFrame(id)
 	if rec.IdemKey != "" {
@@ -723,42 +717,50 @@ func (db *DB) GroupMembers(group int) []int64 {
 	return out
 }
 
-// HasIndex reports whether any stored shape carries the feature kind.
-func (db *DB) HasIndex(k features.Kind) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	return ok && idx.Len() > 0
-}
-
-// KNN returns the k nearest stored shapes to the query vector under the
-// unweighted Euclidean metric of the kind's index.
+// KNN returns the n nearest stored shapes to the query vector under the
+// unweighted Euclidean metric, through the kind's R-tree. The tree is
+// bulk-loaded from a snapshot on the first call after the record set
+// changed and reused until it changes again.
 func (db *DB) KNN(k features.Kind, query features.Vector, n int) ([]rtree.Neighbor, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	if !ok {
-		return nil, fmt.Errorf("shapedb: no index for feature %v", k)
+	tree, err := db.tree(k)
+	if err != nil {
+		return nil, err
 	}
-	if len(query) != idx.Dim() {
-		return nil, fmt.Errorf("shapedb: query dimension %d, index dimension %d", len(query), idx.Dim())
+	if len(query) != tree.Dim() {
+		return nil, fmt.Errorf("shapedb: query dimension %d, index dimension %d", len(query), tree.Dim())
 	}
-	return idx.NearestNeighbors(n, rtree.Point(query)), nil
+	return tree.NearestNeighbors(n, rtree.Point(query)), nil
 }
 
-// WithinRadius returns every stored shape within the given feature-space
-// distance of the query vector, nearest first.
-func (db *DB) WithinRadius(k features.Kind, query features.Vector, radius float64) ([]rtree.Neighbor, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	if !ok {
+// tree returns an R-tree over the live records carrying kind k, loading a
+// new one when the cached tree predates the current record set. Loads are
+// serialized so concurrent callers share one build.
+func (db *DB) tree(k features.Kind) (*rtree.Tree, error) {
+	db.treeMu.Lock()
+	defer db.treeMu.Unlock()
+	if t, ok := db.trees[k]; ok && t.version == db.Version() {
+		return t.tree, nil
+	}
+	recs, version := db.SnapshotVersion()
+	var items []rtree.BulkItem
+	for _, rec := range recs {
+		if v, ok := rec.Features[k]; ok {
+			items = append(items, rtree.BulkItem{ID: rec.ID, Point: rtree.Point(v)})
+		}
+	}
+	if len(items) == 0 {
+		delete(db.trees, k)
 		return nil, fmt.Errorf("shapedb: no index for feature %v", k)
 	}
-	if len(query) != idx.Dim() {
-		return nil, fmt.Errorf("shapedb: query dimension %d, index dimension %d", len(query), idx.Dim())
+	tree, err := rtree.BulkLoad(db.opts.Dim(k), rtree.DefaultMaxEntries, items)
+	if err != nil {
+		return nil, err
 	}
-	return idx.WithinRadius(rtree.Point(query), radius), nil
+	if db.trees == nil {
+		db.trees = make(map[features.Kind]versionedTree)
+	}
+	db.trees[k] = versionedTree{version: version, tree: tree}
+	return tree, nil
 }
 
 // DMax returns the diagonal of the feature-space bounding box of the
@@ -826,15 +828,17 @@ func (db *DB) DimRanges(k features.Kind) []float64 {
 }
 
 // IndexStats returns (node accesses, tree height, entry count) for the
-// kind's index, for the §2.3 efficiency experiments.
+// kind's current R-tree — the one the last KNN ran on — for the §2.3
+// efficiency experiments. It never builds a tree; all zeros means KNN has
+// not run on the kind yet.
 func (db *DB) IndexStats(k features.Kind) (accesses, height, count int) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
+	db.treeMu.Lock()
+	t, ok := db.trees[k]
+	db.treeMu.Unlock()
 	if !ok {
 		return 0, 0, 0
 	}
-	return idx.NodeAccesses(), idx.Height(), idx.Len()
+	return t.tree.NodeAccesses(), t.tree.Height(), t.tree.Len()
 }
 
 // ErrCompactionInProgress is returned by Compact when another compaction

@@ -1,13 +1,17 @@
 package shapedb
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"threedess/internal/features"
 	"threedess/internal/geom"
+	"threedess/internal/rtree"
 )
 
 // fixedFeatures builds a valid feature set with deterministic values.
@@ -124,12 +128,9 @@ func TestKNNAndRadius(t *testing.T) {
 	if len(nn) != 2 || nn[0].ID != ids[2] {
 		t.Errorf("KNN = %+v, want nearest %d", nn, ids[2])
 	}
-	within, err := db.WithinRadius(features.PrincipalMoments, q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(within) != 1 || within[0].ID != ids[2] {
-		t.Errorf("WithinRadius = %+v", within)
+	// Only the nearest record lies within radius 5 of the query.
+	if nn[0].Dist > 5 || nn[1].Dist <= 5 {
+		t.Errorf("KNN distances = %v, %v; want only the first within 5", nn[0].Dist, nn[1].Dist)
 	}
 	if _, err := db.KNN(features.Eigenvalues, q, 1); err == nil {
 		t.Error("dimension mismatch accepted")
@@ -387,23 +388,204 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
+// TestHasIndexAndStats pins the lazy index contract: a kind has an index
+// only once KNN has run on it, IndexStats reports that tree without ever
+// building one, and the next KNN after a write replaces it.
 func TestHasIndexAndStats(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()
-	if db.HasIndex(features.PrincipalMoments) {
-		t.Error("empty DB has index")
+	k := features.PrincipalMoments
+	q := fixedFeatures(db.Options(), 0)[k]
+	if _, err := db.KNN(k, q, 1); err == nil {
+		t.Error("KNN on an empty DB succeeded")
 	}
 	testRecord(t, db, "a", 0, 0)
-	if !db.HasIndex(features.PrincipalMoments) {
-		t.Error("index missing after insert")
+	if acc, height, count := db.IndexStats(k); acc != 0 || height != 0 || count != 0 {
+		t.Errorf("IndexStats before any KNN = %d, %d, %d; want no index", acc, height, count)
 	}
-	_, height, count := db.IndexStats(features.PrincipalMoments)
-	if height != 1 || count != 1 {
-		t.Errorf("stats = height %d count %d", height, count)
+	if _, err := db.KNN(k, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	acc, height, count := db.IndexStats(k)
+	if acc == 0 || height != 1 || count != 1 {
+		t.Errorf("stats = accesses %d height %d count %d", acc, height, count)
+	}
+	testRecord(t, db, "b", 0, 5)
+	if _, _, count := db.IndexStats(k); count != 1 {
+		t.Errorf("IndexStats rebuilt the index on its own: count %d", count)
+	}
+	if _, err := db.KNN(k, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, count := db.IndexStats(k); count != 2 {
+		t.Errorf("count after insert + KNN = %d, want 2", count)
 	}
 	if _, _, c := db.IndexStats(features.ShapeDistribution); c != 0 {
 		t.Errorf("missing index stats count = %d", c)
 	}
+}
+
+// randomFeatures draws a core feature set with distinct random
+// coordinates, so k-NN answers carry no distance ties.
+func randomFeatures(opts features.Options, rng *rand.Rand) features.Set {
+	set := features.Set{}
+	for _, k := range features.CoreKinds {
+		v := make(features.Vector, opts.Dim(k))
+		for i := range v {
+			v[i] = rng.Float64() * 100
+		}
+		set[k] = v
+	}
+	return set
+}
+
+// bruteKNN ranks every snapshot record carrying kind k by Euclidean
+// distance to q, ties by id, and keeps the first n.
+func bruteKNN(recs []*Record, k features.Kind, q features.Vector, n int) []rtree.Neighbor {
+	var out []rtree.Neighbor
+	for _, rec := range recs {
+		if v, ok := rec.Features[k]; ok {
+			out = append(out, rtree.Neighbor{ID: rec.ID, Dist: rtree.Dist(rtree.Point(q), rtree.Point(v))})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// checkKNN fails unless KNN answers exactly like a brute-force k-NN over
+// the current snapshot, for every core kind.
+func checkKNN(t *testing.T, db *DB, step string, q features.Set) {
+	t.Helper()
+	recs := db.Snapshot()
+	for _, k := range features.CoreKinds {
+		got, err := db.KNN(k, q[k], 10)
+		if err != nil {
+			t.Fatalf("%s: KNN(%v): %v", step, k, err)
+		}
+		if want := bruteKNN(recs, k, q[k], 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: KNN(%v) = %v\nbrute force  %v", step, k, got, want)
+		}
+	}
+}
+
+// TestKNNTracksWrites checks the lazily loaded R-tree follows every kind
+// of record-set change: after an insert, a delete, a quarantine and a
+// replica reset, KNN matches a brute-force k-NN over Snapshot().
+func TestKNNTracksWrites(t *testing.T) {
+	db, err := Open(t.TempDir(), features.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(5))
+	mesh := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
+	insert := func() (int64, features.Set) {
+		set := randomFeatures(db.Options(), rng)
+		id, err := db.Insert("r", 0, mesh, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, set
+	}
+	var ids []int64
+	for i := 0; i < 200; i++ {
+		id, _ := insert()
+		ids = append(ids, id)
+	}
+	checkKNN(t, db, "initial", randomFeatures(db.Options(), rng))
+
+	// Query at each changed record's own vectors: an insert must surface
+	// at distance 0, a removed record must vanish.
+	id, set := insert()
+	checkKNN(t, db, "insert", set)
+	if nn, _ := db.KNN(features.PrincipalMoments, set[features.PrincipalMoments], 1); nn[0].ID != id {
+		t.Fatalf("inserted record %d not its own nearest neighbour: %v", id, nn)
+	}
+	if ok, err := db.Delete(id); !ok || err != nil {
+		t.Fatalf("delete: %v, %v", ok, err)
+	}
+	checkKNN(t, db, "delete", set)
+	victim, _ := db.Get(ids[7])
+	if !db.Quarantine(victim.ID, ScrubBitRot, "test") {
+		t.Fatal("quarantine refused a live record")
+	}
+	checkKNN(t, db, "quarantine", victim.Features)
+
+	if err := db.ResetReplica(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.KNN(features.PrincipalMoments, set[features.PrincipalMoments], 1); err == nil {
+		t.Fatal("KNN after a replica reset still answers from the old records")
+	}
+	for i := 0; i < 30; i++ {
+		insert()
+	}
+	checkKNN(t, db, "reset", randomFeatures(db.Options(), rng))
+}
+
+// TestKNNConcurrentWriters runs KNN and IndexStats against concurrent
+// inserts and deletes (run under -race), then checks the settled answer
+// against brute force.
+func TestKNNConcurrentWriters(t *testing.T) {
+	db, _ := Open("", features.Options{})
+	defer db.Close()
+	mesh := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
+	for i := 0; i < 50; i++ {
+		set := randomFeatures(db.Options(), rand.New(rand.NewSource(int64(i))))
+		if _, err := db.Insert("seed", 0, mesh, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < 150; i++ {
+				id, err := db.Insert("w", 0, mesh, randomFeatures(db.Options(), rng))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					db.Delete(id)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + r)))
+			for i := 0; i < 100; i++ {
+				q := randomFeatures(db.Options(), rng)[features.Eigenvalues]
+				nn, err := db.KNN(features.Eigenvalues, q, 5)
+				if err != nil || len(nn) != 5 {
+					t.Errorf("KNN under writes: %v (%d rows)", err, len(nn))
+					return
+				}
+				for j := 1; j < len(nn); j++ {
+					if nn[j].Dist < nn[j-1].Dist {
+						t.Errorf("KNN under writes out of order: %v", nn)
+						return
+					}
+				}
+				db.IndexStats(features.Eigenvalues)
+			}
+		}(r)
+	}
+	wg.Wait()
+	checkKNN(t, db, "settled", randomFeatures(db.Options(), rand.New(rand.NewSource(9))))
 }
 
 func TestSnapshotPointInTime(t *testing.T) {

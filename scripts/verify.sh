@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark is its own Go module (perfbench/go.mod), so the root
+# build never compiles it: vet and self-test it here, so a change to an
+# internal API it calls cannot break it unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race -count=1 ./internal/shapedb/... ./internal/core/... ./internal/features/...
 # Two-stage search gate: the exact-vs-two-stage equivalence suite, the
 # coarse-bound safety property, and the columnar-store coherence test
