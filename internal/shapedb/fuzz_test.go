@@ -1,9 +1,12 @@
 package shapedb
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"threedess/internal/faultfs"
@@ -43,6 +46,15 @@ func FuzzReplayJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// Seed 2: the same records in legacy gob frames, then both formats
+	// in one journal.
+	var legacy []byte
+	for _, id := range []int64{1, 2} {
+		rec, _ := db.Get(id)
+		legacy = append(legacy, legacyFrame(f, entryOf(rec))...)
+	}
+	f.Add(legacy)
+	f.Add(append(append([]byte(nil), legacy...), valid...))
 	f.Add(valid[:len(valid)/2])    // torn tail
 	f.Add(valid[3 : len(valid)-5]) // misaligned
 	f.Add([]byte{})
@@ -88,7 +100,7 @@ func FuzzReplayJournal(f *testing.F) {
 		}
 		if rep.Entries > 0 && rep.GoodBytes < int64(rep.Entries)*9 {
 			// Every frame is at least 8 header bytes + 1 payload byte
-			// (gob never encodes an entry to zero bytes).
+			// (decodeEntry rejects an empty payload).
 			t.Fatalf("%d entries in %d good bytes", rep.Entries, rep.GoodBytes)
 		}
 		if (rep.Tail == TailClean) == (rep.DiscardedBytes != 0) {
@@ -106,6 +118,48 @@ func FuzzReplayJournal(f *testing.F) {
 		}
 		if off != rep.GoodBytes {
 			t.Fatalf("frames end at %d, good prefix %d", off, rep.GoodBytes)
+		}
+	})
+}
+
+// FuzzDecodeEntry feeds arbitrary payloads to the entry decoder. It must
+// never panic; on a binary-format payload its allocation stays bounded by
+// the payload length, however large the counts inside claim to be; and any
+// binary-format payload it accepts re-encodes to the same bytes.
+func FuzzDecodeEntry(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		e := randomEntry(rng)
+		f.Add(encodeEntry(nil, e))
+		f.Add(legacyFrame(f, e)[8:])
+	}
+	f.Add(hugeVertexPayload())
+	f.Add([]byte{})
+	f.Add([]byte{entryMagic})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := decodeEntry(data)
+		runtime.ReadMemStats(&after)
+		// Legacy gob payloads (no leading magic byte) are bounded by gob
+		// itself. The largest binary expansion is a feature map entry: a
+		// few payload bytes become a map slot and a string header.
+		binaryFormat := len(data) > 0 && data[0] == entryMagic
+		if grew := after.TotalAlloc - before.TotalAlloc; binaryFormat && grew > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if e != nil {
+				t.Fatal("decodeEntry returned an entry with its error")
+			}
+			return
+		}
+		if !binaryFormat {
+			return
+		}
+		if again := encodeEntry(nil, e); !bytes.Equal(again, data) {
+			t.Fatalf("payload %x re-encodes to %x", data, again)
 		}
 	})
 }

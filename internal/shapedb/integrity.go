@@ -1,9 +1,7 @@
 package shapedb
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -169,8 +167,8 @@ func checkFrame(frame []byte, rec *Record) (ScrubState, string) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return ScrubBitRot, fmt.Sprintf("CRC mismatch: frame %08x, payload %08x", want, got)
 	}
-	var e journalEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+	e, err := decodeEntry(payload)
+	if err != nil {
 		return ScrubBitRot, "CRC matches but payload does not decode: " + err.Error()
 	}
 	if e.Op != opInsert || e.ID != rec.ID {

@@ -1,9 +1,8 @@
 package shapedb
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,12 +15,13 @@ import (
 
 // The journal is the durability substrate standing in for the paper's
 // Oracle 8i record store: an append-only log of insert/delete operations,
-// each framed as [4-byte length][4-byte CRC32][gob payload]. Replay
-// rebuilds the store; a torn or corrupt tail (from a crash mid-append) is
-// detected by the checksum, quarantined, and truncated away, so recovery
-// never reads garbage and new appends never land after it. All file
-// operations go through a faultfs.FS so the crash-matrix tests can fail or
-// tear any of them deterministically.
+// each framed as [4-byte length][4-byte CRC32][payload]; the payload
+// format is in codec.go (older journals hold gob payloads, which still
+// decode). Replay rebuilds the store; a torn or corrupt tail (from a crash
+// mid-append) is detected by the checksum, quarantined, and truncated
+// away, so recovery never reads garbage and new appends never land after
+// it. All file operations go through a faultfs.FS so the crash-matrix
+// tests can fail or tear any of them deterministically.
 
 type journalOp byte
 
@@ -35,24 +35,26 @@ const (
 // than a torn tail.
 const maxFrame = 1 << 30
 
-// journalEntry is the gob-encoded payload of one journal record.
+// journalEntry is the decoded payload of one journal record. Its field
+// names are also the legacy gob payload's wire names, so they must not
+// change.
 type journalEntry struct {
 	Op    journalOp
 	ID    int64
 	Name  string
 	Group int
-	// Mesh geometry, flattened for gob.
+	// Mesh geometry, flattened.
 	Vertices []geom.Vec3
 	Faces    [][3]int
 	// Features keyed by the stable string names.
 	Features map[string][]float64
 	// Degraded lists feature kinds skipped by per-kind extraction
 	// degradation (stable names). Absent in pre-degradation journals,
-	// which gob decodes as nil.
+	// which decode it as nil.
 	Degraded []string
 	// Idempotency attribution (see Record): the client key this insert was
 	// made under and its position/size within that key's batch. Absent in
-	// older journals, which gob decodes as zero values.
+	// older journals, which decode them as zero values.
 	IdemKey string
 	IdemIdx int
 	IdemCnt int
@@ -128,40 +130,15 @@ func poisonedJournal(err error) *journal {
 // back to the last good frame boundary; if even that fails, the journal is
 // poisoned and every later operation returns the poisoning error.
 func (j *journal) append(e *journalEntry) error {
-	if j.failed != nil {
-		return j.failed
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return fmt.Errorf("shapedb: encoding journal entry: %w", err)
-	}
-	var frame bytes.Buffer
-	var header [8]byte
-	binary.LittleEndian.PutUint32(header[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload.Bytes()))
-	frame.Write(header[:])
-	frame.Write(payload.Bytes())
-	n, err := j.f.Write(frame.Bytes())
-	if err == nil && n < frame.Len() {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		if rerr := j.rollback(); rerr != nil {
-			j.failed = fmt.Errorf("shapedb: journal append failed (%v) and rollback failed: %w", err, rerr)
-		}
-		return fmt.Errorf("shapedb: appending journal entry: %w", err)
-	}
-	j.off += int64(frame.Len())
-	return nil
+	return j.appendRaw(encodeFrame(e))
 }
 
-// appendRaw persists pre-framed bytes exactly as given — the replication
-// path, where a standby must end up with a byte-identical journal. The
-// caller has already CRC-verified and decoded the frames; re-encoding them
-// through append would reorder gob map fields and break the byte-for-byte
-// equivalence the replication protocol's offsets are defined over. Failure
-// semantics match append: rollback to the last good boundary, poisoning on
-// a failed rollback.
+// appendRaw persists pre-framed bytes exactly as given. Replication and
+// import call it directly, so a standby ends up with a byte-identical
+// journal: re-encoding a legacy gob frame would change its bytes and break
+// the byte-for-byte equivalence the replication protocol's offsets are
+// defined over. A write error rolls the file back to the last good frame
+// boundary; a failed rollback poisons the journal.
 func (j *journal) appendRaw(frames []byte) error {
 	if j.failed != nil {
 		return j.failed
@@ -172,9 +149,9 @@ func (j *journal) appendRaw(frames []byte) error {
 	}
 	if err != nil {
 		if rerr := j.rollback(); rerr != nil {
-			j.failed = fmt.Errorf("shapedb: raw journal append failed (%v) and rollback failed: %w", err, rerr)
+			j.failed = fmt.Errorf("shapedb: journal append failed (%v) and rollback failed: %w", err, rerr)
 		}
-		return fmt.Errorf("shapedb: appending raw journal frames: %w", err)
+		return fmt.Errorf("shapedb: appending journal frames: %w", err)
 	}
 	j.off += int64(len(frames))
 	return nil
@@ -259,9 +236,11 @@ func replayJournal(fsys faultfs.FS, path string, fn func(e *journalEntry, off, s
 		return rep, err
 	}
 	rep.TotalBytes = fi.Size()
+	br := bufio.NewReaderSize(f, 64<<10)
+	var payload []byte
 	for {
 		var header [8]byte
-		_, err := io.ReadFull(f, header[:])
+		_, err := io.ReadFull(br, header[:])
 		if err == io.EOF {
 			rep.finish(TailClean, 0)
 			return rep, nil
@@ -291,8 +270,13 @@ func replayJournal(fsys faultfs.FS, path string, fn func(e *journalEntry, off, s
 			return rep, nil
 		}
 		frameEnd := rep.GoodBytes + 8 + int64(size)
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		// decodeEntry copies everything it keeps, so one buffer serves
+		// every frame.
+		if cap(payload) < int(size) {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.ErrUnexpectedEOF || err == io.EOF {
 				rep.finish(TailTornPayload, 0)
 				return rep, nil
@@ -303,12 +287,12 @@ func replayJournal(fsys faultfs.FS, path string, fn func(e *journalEntry, off, s
 			rep.finish(TailBadChecksum, frameEnd)
 			return rep, nil
 		}
-		var e journalEntry
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+		e, err := decodeEntry(payload)
+		if err != nil {
 			rep.finish(TailUndecodable, frameEnd)
 			return rep, nil
 		}
-		if err := fn(&e, rep.GoodBytes, 8+int64(size)); err != nil {
+		if err := fn(e, rep.GoodBytes, 8+int64(size)); err != nil {
 			return rep, err
 		}
 		rep.Entries++

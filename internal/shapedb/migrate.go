@@ -3,7 +3,6 @@ package shapedb
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -21,7 +20,7 @@ import (
 // records in one journaled batch.
 
 // ExportFrame is one record shipped between shards: the exact framed
-// journal bytes ([4B length][4B CRC32][gob payload]) the record is
+// journal bytes ([4B length][4B CRC32][payload]) the record is
 // durable under on the source, plus the canonical content CRC used for
 // post-copy verification. Shipping the source's own frame bytes means
 // the destination persists precisely what the source acknowledged —
@@ -33,27 +32,12 @@ type ExportFrame struct {
 	CRC   uint32 `json:"crc"`
 }
 
-// encodeFrame renders a journal entry as framed bytes without touching
-// any file — the in-memory store's export path, and the framing mirror
-// of journal.append.
-func encodeFrame(e *journalEntry) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return nil, fmt.Errorf("shapedb: encoding export entry: %w", err)
-	}
-	frame := make([]byte, 8+payload.Len())
-	binary.LittleEndian.PutUint32(frame[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(frame[8:], payload.Bytes())
-	return frame, nil
-}
-
 // ContentCRC is the canonical content checksum of one record: a CRC32
 // over a deterministic serialization of every journaled field. It is
-// deliberately NOT a checksum of the frame bytes — gob encodes map
-// fields in nondeterministic order, so two byte-different frames can
-// hold the identical record, and migration verification must compare
-// records, not encodings.
+// deliberately NOT a checksum of the frame bytes: a record can be held in
+// a legacy gob frame, and gob encodes map fields in nondeterministic
+// order, so two byte-different frames can hold the identical record, and
+// migration verification must compare records, not encodings.
 func (rec *Record) ContentCRC() uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
@@ -147,10 +131,7 @@ func (db *DB) ExportRecords(ids []int64) ([]ExportFrame, error) {
 				return nil, fmt.Errorf("shapedb: exporting %d: frame unservable (%v): %s", id, state, detail)
 			}
 		} else {
-			var err error
-			if frame, err = encodeFrame(entryOf(rec)); err != nil {
-				return nil, err
-			}
+			frame = encodeFrame(entryOf(rec))
 		}
 		out = append(out, ExportFrame{ID: id, Frame: frame, CRC: rec.ContentCRC()})
 	}

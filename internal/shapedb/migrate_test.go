@@ -122,8 +122,8 @@ func TestImportRejectsCorruption(t *testing.T) {
 }
 
 // ContentCRC compares records, not encodings: identical content hashes
-// identically (whatever gob's map ordering did), any field change is
-// visible.
+// identically (whatever a legacy gob frame's map ordering did), any field
+// change is visible.
 func TestContentCRCDetectsChanges(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()

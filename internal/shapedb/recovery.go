@@ -21,7 +21,7 @@ const (
 	// TailImplausibleLength: a header claiming a payload larger than any
 	// real append produces; the header bytes themselves are garbage.
 	TailImplausibleLength
-	// TailUndecodable: the CRC matched but the gob payload would not
+	// TailUndecodable: the CRC matched but the payload would not
 	// decode — a frame written by an incompatible or corrupted encoder.
 	TailUndecodable
 )

@@ -64,6 +64,9 @@ rm -rf "$CLUSTER_SMOKE"
 go test -run '^$' -fuzz '^FuzzReadOFF$' -fuzztime 5s ./internal/geom
 go test -run '^$' -fuzz '^FuzzReadOBJ$' -fuzztime 5s ./internal/geom
 go test -run '^$' -fuzz '^FuzzReadSTL$' -fuzztime 5s ./internal/geom
+# The journal entry decoder reads frames from peers, imports and backup
+# archives: same 5s live-fuzz pass.
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 5s ./internal/shapedb
 # Brownout gate: the degradation ladder (tier selection from gate depth
 # + latency EWMA, truthful X-Degraded marking, the no-read-5xx churn
 # property), the result cache (ETag revalidation, bit-identical hits,
